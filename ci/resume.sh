@@ -14,9 +14,11 @@
 #      abort the grid; and the same kill-and-resume must hold for an
 #      asbr-faults campaign.
 #
-# The kill is timed to land mid-simulation: the sweep gets enough samples to
-# run for several seconds, and the journal is required to be non-empty but
-# incomplete at the moment of death (otherwise the test degenerates).
+# The kill lands mid-run by construction: each run is SIGKILL'd as soon as
+# its journal records the first completed job, and the grid has more jobs
+# than the 8-thread pass has workers, so work is still pending then.  The
+# journal is still required to be non-empty and the report unwritten at the
+# moment of death (otherwise the test degenerates).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -36,10 +38,23 @@ tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 status=0
 
-# A grid long enough (~6 adpcm-enc/dec runs at 60k samples) that a kill
-# 1.5 s in reliably lands mid-grid on CI hardware.
-SWEEP_ARGS=(--adpcm=60000 --workloads=adpcm-enc,adpcm-dec --bits=2,4
-            --baseline --seed=2001)
+# 16 adpcm-enc/dec cells at 30k samples: twice the workers of the
+# --threads=8 pass.
+SWEEP_ARGS=(--adpcm=30000 --workloads=adpcm-enc,adpcm-dec
+            --predictors=bimodal,gshare --bits=2,4,8 --baseline --seed=2001)
+
+# SIGKILL run $1 once journal $2 records its first completed job (or the
+# run exits on its own), and reap it.
+kill_at_first_done() {
+    local pid=$1 journal=$2
+    for _ in $(seq 1200); do
+        grep -qs '"status":"done"' "$journal" && break
+        kill -0 "$pid" 2> /dev/null || break
+        sleep 0.05
+    done
+    kill -9 "$pid" 2> /dev/null || true
+    wait "$pid" 2> /dev/null || true
+}
 
 echo "--- one-shot reference (serial)"
 "$SWEEP" "${SWEEP_ARGS[@]}" --threads=1 --json="$tmpdir/oneshot.json" \
@@ -50,13 +65,10 @@ for threads in 1 8; do
     echo "--- kill-and-resume at --threads=$threads"
     "$SWEEP" "${SWEEP_ARGS[@]}" --threads=$threads --journal="$dir" \
         --json="$tmpdir/never_t$threads.json" > /dev/null 2>&1 &
-    pid=$!
-    sleep 1.5
-    kill -9 "$pid" 2> /dev/null || true
-    wait "$pid" 2> /dev/null || true
+    kill_at_first_done $! "$dir/journal.jsonl"
 
     if [[ ! -s "$dir/journal.jsonl" ]]; then
-        echo "FAIL: journal empty after 1.5s — kill landed before any work" >&2
+        echo "FAIL: journal empty at the kill — it landed before any work" >&2
         status=1
         continue
     fi
@@ -133,10 +145,7 @@ CAMPAIGN_ARGS=(campaign --bench=g721-enc --quick --injections=24
     > /dev/null 2>&1
 "$FAULTS" "${CAMPAIGN_ARGS[@]}" --journal="$tmpdir/fcj" \
     --json="$tmpdir/fc_never.json" > /dev/null 2>&1 &
-pid=$!
-sleep 2
-kill -9 "$pid" 2> /dev/null || true
-wait "$pid" 2> /dev/null || true
+kill_at_first_done $! "$tmpdir/fcj/journal.jsonl"
 
 if [[ -f "$tmpdir/fc_never.json" ]]; then
     echo "note: campaign finished before the kill; resume degenerates to" \

@@ -4,40 +4,10 @@
 
 namespace asbr {
 
-namespace {
-
 using analysis::BranchDirection;
 using analysis::FoldLegality;
 using analysis::StaticLint;
-
-bool knownDirectionName(const std::string& name) {
-    for (const BranchDirection d :
-         {BranchDirection::kAlwaysTaken, BranchDirection::kNeverTaken,
-          BranchDirection::kDynamic, BranchDirection::kUnreachable})
-        if (name == analysis::branchDirectionName(d)) return true;
-    return false;
-}
-
-bool knownLegalityName(const std::string& name) {
-    for (const FoldLegality v :
-         {FoldLegality::kProvablySafe, FoldLegality::kSafeOnProfiledPaths,
-          FoldLegality::kIllegal})
-        if (name == analysis::foldLegalityName(v)) return true;
-    return false;
-}
-
-bool knownLintKindName(const std::string& name) {
-    for (const StaticLint::Kind k :
-         {StaticLint::Kind::kUnreachableBlock, StaticLint::Kind::kDeadBranchArm,
-          StaticLint::Kind::kRefinementWin, StaticLint::Kind::kUnboundedLoop,
-          StaticLint::Kind::kDanglingLoopBound, StaticLint::Kind::kDeadStore,
-          StaticLint::Kind::kNeverWrittenRead,
-          StaticLint::Kind::kCorrelatedBranch})
-        if (name == analysis::staticLintKindName(k)) return true;
-    return false;
-}
-
-}  // namespace
+using Lint = StaticLint::Kind;
 
 JsonValue analysisReportJson(const AnalysisReportMeta& meta,
                              const analysis::FoldLegalityVerifier& verifier,
@@ -154,213 +124,98 @@ JsonValue analysisReportJson(const AnalysisReportMeta& meta,
     return JsonValue(std::move(doc));
 }
 
+using enum FieldType;
+
+/// Direction labels double as the summary's histogram keys.
+const std::vector<std::string> kDirections = labelsOf(
+    analysis::branchDirectionName,
+    {BranchDirection::kAlwaysTaken, BranchDirection::kNeverTaken,
+     BranchDirection::kDynamic, BranchDirection::kUnreachable});
+const std::vector<std::string> kLegalities = labelsOf(
+    analysis::foldLegalityName,
+    {FoldLegality::kProvablySafe, FoldLegality::kSafeOnProfiledPaths,
+     FoldLegality::kIllegal});
+const std::vector<std::string> kLintKinds = labelsOf(
+    analysis::staticLintKindName,
+    {Lint::kUnreachableBlock, Lint::kDeadBranchArm, Lint::kRefinementWin,
+     Lint::kUnboundedLoop, Lint::kDanglingLoopBound, Lint::kDeadStore,
+     Lint::kNeverWrittenRead, Lint::kCorrelatedBranch});
+
+const SchemaSpec kAnalysisReportSpec{
+    kAnalysisReportSchema, kReportSchemaVersion,
+    {
+        {"meta", kObject},
+        {"meta/benchmark", kString},
+        {"meta/threshold", kCount, {.min = 2, .max = 4}},
+        {"meta/scheduled", kBool},
+        {"cfg", kObject},
+        {"cfg/instructions", kCount},
+        {"cfg/blocks", kCount},
+        {"cfg/edges", kCount},
+        {"cfg/call_sites", kCount},
+        {"cfg/function_entries", kCount},
+        {"cfg/unresolved_indirect", kBool},
+        {"loops", kObject},
+        {"loops/count", kCount},
+        {"loops/max_depth", kCount},
+        {"loops/widening_points", kCount},
+        {"fixpoint", kObject},
+        {"fixpoint/converged", kBool},
+        {"fixpoint/iterations", kCount},
+        {"summary", kObject},
+        {"summary/branches", kCount},
+        {"summary/always_taken", kCount},
+        {"summary/never_taken", kCount},
+        {"summary/dynamic", kCount},
+        {"summary/unreachable", kCount},
+        {"summary/statically_decided", kCount},
+        {"summary/provably_safe", kCount},
+        {"summary/illegal", kCount},
+        {"summary/refinement_wins", kCount},
+        {"summary/lints", kCount},
+        {"branches", kArray},
+        {"branches/[]", kObject},
+        {"branches/[]/pc", kCount},
+        {"branches/[]/line", kCount},
+        {"branches/[]/instr", kString},
+        {"branches/[]/direction", kString, {.labels = &kDirections}},
+        {"branches/[]/legality", kString, {.labels = &kLegalities}},
+        {"branches/[]/static_min_distance", kCount},
+        {"branches/[]/unrefined_min_distance", kCount},
+        {"branches/[]/cond_value", kString},
+        {"branches/[]/reachable", kBool},
+        {"branches/[]/extractable", kBool},
+        {"lints", kArray},
+        {"lints/[]", kObject},
+        {"lints/[]/kind", kString, {.labels = &kLintKinds}},
+        {"lints/[]/pc", kCount},
+        {"lints/[]/line", kCount},
+        {"lints/[]/message", kString},
+    },
+    {
+        {"summary counts == the branch and lint records",
+         [](const JsonValue& d) {
+             const JsonArray& branches = itemsAt(d, "branches");
+             for (const std::string& direction : kDirections)
+                 if (countAt(d, "summary/" + direction) !=
+                     countLabel(branches, "direction", direction))
+                     return false;
+             const std::uint64_t illegal = countLabel(
+                 branches, "legality",
+                 analysis::foldLegalityName(FoldLegality::kIllegal));
+             return countAt(d, "summary/branches") == branches.size() &&
+                    countAt(d, "summary/statically_decided") ==
+                        countAt(d, "summary/always_taken") +
+                            countAt(d, "summary/never_taken") &&
+                    countAt(d, "summary/illegal") == illegal &&
+                    countAt(d, "summary/provably_safe") ==
+                        branches.size() - illegal &&
+                    countAt(d, "summary/lints") == itemsAt(d, "lints").size();
+         }},
+    }};
+
 ReportValidation validateAnalysisReportJson(const JsonValue& doc) {
-    ReportValidation out;
-    const auto fail = [&out](std::string message) {
-        out.errors.push_back(std::move(message));
-    };
-    if (!doc.isObject()) {
-        fail("analysis_report: not a JSON object");
-        return out;
-    }
-    const auto member = [&](const JsonValue& obj, const char* key,
-                            const char* context) -> const JsonValue* {
-        const JsonValue* v = obj.find(key);
-        if (v == nullptr)
-            fail(std::string(context) + ": missing required member '" + key +
-                 "'");
-        return v;
-    };
-
-    if (const JsonValue* schema = member(doc, "schema", "analysis_report"))
-        if (!schema->isString() || schema->asString() != kAnalysisReportSchema)
-            fail(std::string("analysis_report: schema is not '") +
-                 kAnalysisReportSchema + "'");
-    if (const JsonValue* version = member(doc, "version", "analysis_report"))
-        if (!version->isNumber() || version->asUint() != kReportSchemaVersion)
-            fail("analysis_report: unsupported schema version");
-
-    if (const JsonValue* meta = member(doc, "meta", "analysis_report")) {
-        if (!meta->isObject()) {
-            fail("analysis_report: meta is not an object");
-        } else {
-            const JsonValue* bench = meta->find("benchmark");
-            if (bench == nullptr || !bench->isString())
-                fail("analysis_report: meta.benchmark missing or not a string");
-            const JsonValue* threshold = meta->find("threshold");
-            if (threshold == nullptr || !threshold->isNumber() ||
-                threshold->asUint() < 2 || threshold->asUint() > 4)
-                fail("analysis_report: meta.threshold missing or not 2..4");
-            const JsonValue* scheduled = meta->find("scheduled");
-            if (scheduled == nullptr || !scheduled->isBool())
-                fail("analysis_report: meta.scheduled missing or not a bool");
-        }
-    }
-
-    if (const JsonValue* shape = member(doc, "cfg", "analysis_report")) {
-        if (!shape->isObject()) {
-            fail("analysis_report: cfg is not an object");
-        } else {
-            for (const char* key : {"instructions", "blocks", "edges",
-                                    "call_sites", "function_entries"}) {
-                const JsonValue* v = shape->find(key);
-                if (v == nullptr || !v->isNumber())
-                    fail(std::string("analysis_report: cfg.") + key +
-                         " missing or not a number");
-            }
-            const JsonValue* ind = shape->find("unresolved_indirect");
-            if (ind == nullptr || !ind->isBool())
-                fail("analysis_report: cfg.unresolved_indirect missing or not "
-                     "a bool");
-        }
-    }
-
-    if (const JsonValue* loops = member(doc, "loops", "analysis_report")) {
-        if (!loops->isObject()) {
-            fail("analysis_report: loops is not an object");
-        } else {
-            for (const char* key : {"count", "max_depth", "widening_points"}) {
-                const JsonValue* v = loops->find(key);
-                if (v == nullptr || !v->isNumber())
-                    fail(std::string("analysis_report: loops.") + key +
-                         " missing or not a number");
-            }
-        }
-    }
-
-    if (const JsonValue* fixpoint = member(doc, "fixpoint", "analysis_report")) {
-        if (!fixpoint->isObject()) {
-            fail("analysis_report: fixpoint is not an object");
-        } else {
-            const JsonValue* converged = fixpoint->find("converged");
-            if (converged == nullptr || !converged->isBool())
-                fail("analysis_report: fixpoint.converged missing or not a "
-                     "bool");
-            const JsonValue* iterations = fixpoint->find("iterations");
-            if (iterations == nullptr || !iterations->isNumber())
-                fail("analysis_report: fixpoint.iterations missing or not a "
-                     "number");
-        }
-    }
-
-    // Direction histogram recomputed from the branch records, then checked
-    // against the summary block (cross-field consistency).
-    std::uint64_t always = 0, never = 0;
-    std::size_t branchCount = 0;
-    if (const JsonValue* branches = member(doc, "branches", "analysis_report")) {
-        if (!branches->isArray()) {
-            fail("analysis_report: branches is not an array");
-        } else {
-            branchCount = branches->asArray().size();
-            std::size_t index = 0;
-            for (const JsonValue& record : branches->asArray()) {
-                const std::string context =
-                    "analysis_report: branches[" + std::to_string(index) + "]";
-                ++index;
-                if (!record.isObject()) {
-                    fail(context + " is not an object");
-                    continue;
-                }
-                for (const char* key :
-                     {"pc", "line", "static_min_distance",
-                      "unrefined_min_distance"}) {
-                    const JsonValue* v = record.find(key);
-                    if (v == nullptr || !v->isNumber())
-                        fail(context + "." + key + " missing or not a number");
-                }
-                for (const char* key : {"instr", "cond_value"}) {
-                    const JsonValue* v = record.find(key);
-                    if (v == nullptr || !v->isString())
-                        fail(context + "." + key + " missing or not a string");
-                }
-                for (const char* key : {"reachable", "extractable"}) {
-                    const JsonValue* v = record.find(key);
-                    if (v == nullptr || !v->isBool())
-                        fail(context + "." + key + " missing or not a bool");
-                }
-                const JsonValue* direction = record.find("direction");
-                if (direction == nullptr || !direction->isString() ||
-                    !knownDirectionName(direction->asString())) {
-                    fail(context + ".direction missing or not a known label");
-                } else if (direction->asString() ==
-                           analysis::branchDirectionName(
-                               BranchDirection::kAlwaysTaken)) {
-                    ++always;
-                } else if (direction->asString() ==
-                           analysis::branchDirectionName(
-                               BranchDirection::kNeverTaken)) {
-                    ++never;
-                }
-                const JsonValue* legality = record.find("legality");
-                if (legality == nullptr || !legality->isString() ||
-                    !knownLegalityName(legality->asString()))
-                    fail(context + ".legality missing or not a known label");
-            }
-        }
-    }
-
-    std::size_t lintCount = 0;
-    if (const JsonValue* lints = member(doc, "lints", "analysis_report")) {
-        if (!lints->isArray()) {
-            fail("analysis_report: lints is not an array");
-        } else {
-            lintCount = lints->asArray().size();
-            std::size_t index = 0;
-            for (const JsonValue& record : lints->asArray()) {
-                const std::string context =
-                    "analysis_report: lints[" + std::to_string(index) + "]";
-                ++index;
-                if (!record.isObject()) {
-                    fail(context + " is not an object");
-                    continue;
-                }
-                const JsonValue* kind = record.find("kind");
-                if (kind == nullptr || !kind->isString() ||
-                    !knownLintKindName(kind->asString()))
-                    fail(context + ".kind missing or not a known label");
-                for (const char* key : {"pc", "line"}) {
-                    const JsonValue* v = record.find(key);
-                    if (v == nullptr || !v->isNumber())
-                        fail(context + "." + key + " missing or not a number");
-                }
-                const JsonValue* message = record.find("message");
-                if (message == nullptr || !message->isString())
-                    fail(context + ".message missing or not a string");
-            }
-        }
-    }
-
-    if (const JsonValue* summary = member(doc, "summary", "analysis_report")) {
-        if (!summary->isObject()) {
-            fail("analysis_report: summary is not an object");
-        } else {
-            for (const char* key :
-                 {"branches", "always_taken", "never_taken", "dynamic",
-                  "unreachable", "statically_decided", "provably_safe",
-                  "illegal", "refinement_wins", "lints"}) {
-                const JsonValue* v = summary->find(key);
-                if (v == nullptr || !v->isNumber())
-                    fail(std::string("analysis_report: summary.") + key +
-                         " missing or not a number");
-            }
-            const JsonValue* branches = summary->find("branches");
-            if (branches != nullptr && branches->isNumber() &&
-                branches->asUint() != branchCount)
-                fail("analysis_report: summary.branches does not match the "
-                     "branches array");
-            const JsonValue* lints = summary->find("lints");
-            if (lints != nullptr && lints->isNumber() &&
-                lints->asUint() != lintCount)
-                fail("analysis_report: summary.lints does not match the lints "
-                     "array");
-            const JsonValue* decided = summary->find("statically_decided");
-            if (decided != nullptr && decided->isNumber() &&
-                decided->asUint() != always + never)
-                fail("analysis_report: summary.statically_decided does not "
-                     "match the direction histogram");
-        }
-    }
-    return out;
+    return validate(doc, kAnalysisReportSpec);
 }
 
 }  // namespace asbr

@@ -34,7 +34,8 @@ struct AnalysisReportMeta {
     const analysis::FoldLegalityVerifier& verifier,
     const analysis::VerifyConfig& config);
 
-/// Schema validation; shares ReportValidation with the other report kinds.
+/// The schema's field table (docs/metrics.md) and its validator.
+extern const SchemaSpec kAnalysisReportSpec;
 [[nodiscard]] ReportValidation validateAnalysisReportJson(const JsonValue& doc);
 
 }  // namespace asbr

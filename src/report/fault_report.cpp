@@ -2,6 +2,34 @@
 
 namespace asbr {
 
+namespace {
+
+using enum FieldType;
+
+void parseSite(const JsonValue& site) { (void)faultSiteFromJson(site); }
+
+const std::vector<std::string> kOutcomeNames = [] {
+    std::vector<std::string> out;
+    for (std::size_t o = 0; o < kNumFaultOutcomes; ++o)
+        out.emplace_back(faultOutcomeName(static_cast<FaultOutcome>(o)));
+    return out;
+}();
+
+/// One injection record, as the report embeds it and the durable engine
+/// journals it.
+const SchemaSpec kInjectionRecordSpec{
+    "injection_record", 0,
+    {
+        {"site", kObject, {.parse = parseSite}},
+        {"cycle", kCount},
+        {"outcome", kString, {.labels = &kOutcomeNames}},
+        {"cycles", kCount},
+        {"recoveries", kCount},
+        {"detail", kString, {.optional = true}},
+    }};
+
+}  // namespace
+
 JsonValue injectionRecordJson(const InjectionRecord& record) {
     JsonObject r;
     r.emplace_back("site", faultSiteJson(record.injection.site));
@@ -14,32 +42,16 @@ JsonValue injectionRecordJson(const InjectionRecord& record) {
 }
 
 InjectionRecord injectionRecordFromJson(const JsonValue& value) {
-    ASBR_ENSURE(value.isObject(), "injection record: not a JSON object");
+    const ReportValidation validation = validate(value, kInjectionRecordSpec);
+    ASBR_ENSURE(validation.ok(), validation.errors.front());
     InjectionRecord record;
-    const JsonValue* site = value.find("site");
-    ASBR_ENSURE(site != nullptr, "injection record: missing site");
-    record.injection.site = faultSiteFromJson(*site);
-    for (const char* key : {"cycle", "cycles", "recoveries"}) {
-        const JsonValue* v = value.find(key);
-        ASBR_ENSURE(v != nullptr && v->isNumber(),
-                    std::string("injection record: ") + key +
-                        " missing or not a number");
-    }
-    record.injection.cycle = value.find("cycle")->asUint();
-    record.cycles = value.find("cycles")->asUint();
-    record.recoveries = value.find("recoveries")->asUint();
-    const JsonValue* outcome = value.find("outcome");
-    ASBR_ENSURE(outcome != nullptr && outcome->isString(),
-                "injection record: outcome missing or not a string");
-    const auto parsed = faultOutcomeFromName(outcome->asString());
-    ASBR_ENSURE(parsed.has_value(), "injection record: unknown outcome '" +
-                                        outcome->asString() + "'");
-    record.outcome = *parsed;
-    if (const JsonValue* detail = value.find("detail")) {
-        ASBR_ENSURE(detail->isString(),
-                    "injection record: detail is not a string");
+    record.injection.site = faultSiteFromJson(at(value, "site"));
+    record.injection.cycle = countAt(value, "cycle");
+    record.cycles = countAt(value, "cycles");
+    record.recoveries = countAt(value, "recoveries");
+    record.outcome = *faultOutcomeFromName(at(value, "outcome").asString());
+    if (const JsonValue* detail = value.find("detail"))
         record.detail = detail->asString();
-    }
     return record;
 }
 
@@ -108,175 +120,63 @@ std::optional<FaultOutcome> faultOutcomeFromName(const std::string& name) {
     return std::nullopt;
 }
 
+const SchemaSpec kFaultReportSpec{
+    kFaultReportSchema, kFaultReportVersion,
+    {
+        {"meta", kObject},
+        {"meta/benchmark", kString},
+        {"meta/predictor", kString},
+        {"meta/seed", kCount},
+        {"meta/samples", kCount},
+        {"meta/protected", kBool},
+        {"meta/bit_entries", kCount},
+        {"meta/update_stage", kString, {.labels = &kValueStageNames}},
+        {"campaign", kObject},
+        {"campaign/fault_seed", kCount},
+        {"campaign/injections", kCount},
+        {"campaign/max_cycle_factor", kCount},
+        {"campaign/targets", kObject},
+        {"campaign/targets/bdt", kBool},
+        {"campaign/targets/bit", kBool},
+        {"campaign/targets/bp", kBool},
+        {"campaign/clean_cycles", kCount},
+        {"outcomes", kObject},
+        {"outcomes/masked", kCount},
+        {"outcomes/detected_recovered", kCount},
+        {"outcomes/detected_aborted", kCount},
+        {"outcomes/sdc", kCount},
+        {"outcomes/hang", kCount},
+        {"injections", kArray},
+        {"injections/[]", kObject, {.nested = &kInjectionRecordSpec}},
+        {"failed_jobs", kArray},
+        {"failed_jobs/[]", kObject},
+        {"failed_jobs/[]/index", kCount},
+        {"failed_jobs/[]/site", kObject, {.parse = parseSite}},
+        {"failed_jobs/[]/cycle", kCount},
+        {"failed_jobs/[]/attempts", kCount},
+        {"failed_jobs/[]/error", kString},
+    },
+    {
+        {"outcomes == per-outcome counts of the injection records",
+         [](const JsonValue& d) {
+             for (const std::string& name : kOutcomeNames)
+                 if (countAt(d, "outcomes/" + name) !=
+                     countLabel(itemsAt(d, "injections"), "outcome", name))
+                     return false;
+             return true;
+         }},
+        // Reports are only written for complete (possibly degraded)
+        // campaigns, never for interrupted ones.
+        {"len(injections) + len(failed_jobs) == campaign.injections",
+         [](const JsonValue& d) {
+             return itemsAt(d, "injections").size() +
+                        itemsAt(d, "failed_jobs").size() ==
+                    countAt(d, "campaign/injections");
+         }},
+    }};
+
 ReportValidation validateFaultReportJson(const JsonValue& doc) {
-    ReportValidation out;
-    const auto fail = [&out](std::string message) {
-        out.errors.push_back(std::move(message));
-    };
-    if (!doc.isObject()) {
-        fail("fault_report: not a JSON object");
-        return out;
-    }
-    const auto member = [&](const JsonValue& obj, const char* key,
-                            const char* context) -> const JsonValue* {
-        const JsonValue* v = obj.find(key);
-        if (v == nullptr)
-            fail(std::string(context) + ": missing required member '" + key +
-                 "'");
-        return v;
-    };
-
-    if (const JsonValue* schema = member(doc, "schema", "fault_report"))
-        if (!schema->isString() || schema->asString() != kFaultReportSchema)
-            fail(std::string("fault_report: schema is not '") +
-                 kFaultReportSchema + "'");
-    if (const JsonValue* version = member(doc, "version", "fault_report"))
-        if (!version->isNumber() || version->asUint() != kFaultReportVersion)
-            fail("fault_report: unsupported schema version (want " +
-                 std::to_string(kFaultReportVersion) + ")");
-
-    if (const JsonValue* meta = member(doc, "meta", "fault_report")) {
-        if (!meta->isObject()) {
-            fail("fault_report: meta is not an object");
-        } else {
-            for (const char* key : {"benchmark", "predictor", "update_stage"}) {
-                const JsonValue* v = meta->find(key);
-                if (v == nullptr || !v->isString())
-                    fail(std::string("fault_report: meta.") + key +
-                         " missing or not a string");
-            }
-            for (const char* key : {"seed", "samples", "bit_entries"}) {
-                const JsonValue* v = meta->find(key);
-                if (v == nullptr || !v->isNumber())
-                    fail(std::string("fault_report: meta.") + key +
-                         " missing or not a number");
-            }
-            const JsonValue* prot = meta->find("protected");
-            if (prot == nullptr || !prot->isBool())
-                fail("fault_report: meta.protected missing or not a bool");
-        }
-    }
-
-    std::uint64_t campaignInjections = 0;
-    bool campaignOk = false;
-    if (const JsonValue* campaign = member(doc, "campaign", "fault_report")) {
-        if (!campaign->isObject()) {
-            fail("fault_report: campaign is not an object");
-        } else {
-            campaignOk = true;
-            for (const char* key :
-                 {"fault_seed", "injections", "max_cycle_factor",
-                  "clean_cycles"}) {
-                const JsonValue* v = campaign->find(key);
-                if (v == nullptr || !v->isNumber()) {
-                    fail(std::string("fault_report: campaign.") + key +
-                         " missing or not a number");
-                    campaignOk = false;
-                }
-            }
-            if (campaignOk)
-                campaignInjections = campaign->find("injections")->asUint();
-            if (const JsonValue* targets =
-                    member(*campaign, "targets", "fault_report: campaign"))
-                if (!targets->isObject())
-                    fail("fault_report: campaign.targets is not an object");
-        }
-    }
-
-    std::uint64_t outcomeSum = 0;
-    bool outcomesOk = false;
-    if (const JsonValue* outcomes = member(doc, "outcomes", "fault_report")) {
-        if (!outcomes->isObject()) {
-            fail("fault_report: outcomes is not an object");
-        } else {
-            outcomesOk = true;
-            for (std::size_t o = 0; o < kNumFaultOutcomes; ++o) {
-                const char* name = faultOutcomeName(static_cast<FaultOutcome>(o));
-                const JsonValue* v = outcomes->find(name);
-                if (v == nullptr || !v->isNumber()) {
-                    fail(std::string("fault_report: outcomes.") + name +
-                         " missing or not a number");
-                    outcomesOk = false;
-                } else {
-                    outcomeSum += v->asUint();
-                }
-            }
-        }
-    }
-
-    std::size_t injectionCount = 0;
-    if (const JsonValue* injections = member(doc, "injections", "fault_report")) {
-        if (!injections->isArray()) {
-            fail("fault_report: injections is not an array");
-        } else {
-            injectionCount = injections->asArray().size();
-            std::size_t index = 0;
-            for (const JsonValue& record : injections->asArray()) {
-                const std::string context =
-                    "fault_report: injections[" + std::to_string(index) + "]";
-                if (!record.isObject()) {
-                    fail(context + " is not an object");
-                    ++index;
-                    continue;
-                }
-                try {
-                    (void)injectionRecordFromJson(record);
-                } catch (const EnsureError& e) {
-                    fail(context + ": " + e.what());
-                }
-                ++index;
-            }
-            // Cross-field consistency: the histogram must account for every
-            // injected run, no more, no less.
-            if (outcomesOk && outcomeSum != injectionCount)
-                fail("fault_report: outcome counts do not sum to the number "
-                     "of injections");
-        }
-    }
-
-    if (const JsonValue* failed = member(doc, "failed_jobs", "fault_report")) {
-        if (!failed->isArray()) {
-            fail("fault_report: failed_jobs is not an array");
-        } else {
-            std::size_t index = 0;
-            for (const JsonValue& record : failed->asArray()) {
-                const std::string context =
-                    "fault_report: failed_jobs[" + std::to_string(index) + "]";
-                if (!record.isObject()) {
-                    fail(context + " is not an object");
-                    ++index;
-                    continue;
-                }
-                for (const char* key : {"index", "cycle", "attempts"}) {
-                    const JsonValue* v = record.find(key);
-                    if (v == nullptr || !v->isNumber())
-                        fail(context + "." + key + " missing or not a number");
-                }
-                const JsonValue* error = record.find("error");
-                if (error == nullptr || !error->isString())
-                    fail(context + ".error missing or not a string");
-                if (const JsonValue* site = record.find("site")) {
-                    try {
-                        (void)faultSiteFromJson(*site);
-                    } catch (const EnsureError& e) {
-                        fail(context + ".site: " + e.what());
-                    }
-                } else {
-                    fail(context + ": missing required member 'site'");
-                }
-                ++index;
-            }
-            // Classified + quarantined must cover the configured campaign:
-            // reports are only written for complete (possibly degraded)
-            // campaigns, never for interrupted ones.
-            if (campaignOk &&
-                injectionCount + failed->asArray().size() !=
-                    campaignInjections)
-                fail("fault_report: injections + failed_jobs do not cover "
-                     "campaign.injections");
-        }
-    }
-    return out;
+    return validate(doc, kFaultReportSpec);
 }
 
 }  // namespace asbr

@@ -2,10 +2,10 @@
 // fault-injection campaign (docs/fault-injection.md).
 //
 // Like asbr.sim_report, the document is produced through exactly one code
-// path (here) and validated by an executable schema checker that CI runs on
-// every artifact.  Every value is an integer, string or bool — no floating
-// point — so a pinned-seed campaign serializes bit-identically across runs
-// and ci/faults.sh can diff whole files against committed goldens.
+// path (here) and validated against its field table on every CI artifact.
+// Every value is an integer, string or bool — no floating point — so a
+// pinned-seed campaign serializes bit-identically across runs and
+// ci/faults.sh can diff whole files against committed goldens.
 #pragma once
 
 #include <optional>
@@ -45,7 +45,8 @@ struct FaultReportMeta {
     const CampaignResult& result,
     const std::vector<FailedInjection>& failed = {});
 
-/// Schema validation; shares ReportValidation with the other report kinds.
+/// The schema's field table (docs/metrics.md) and its validator.
+extern const SchemaSpec kFaultReportSpec;
 [[nodiscard]] ReportValidation validateFaultReportJson(const JsonValue& doc);
 
 /// Inverse of faultOutcomeName (nullopt for an unknown label).

@@ -153,216 +153,90 @@ JsonValue ipaReportJson(const IpaReportMeta& meta,
     return JsonValue(std::move(doc));
 }
 
+using enum FieldType;
+
+const std::vector<std::string> kSiteKinds = {"call", "goto"};
+
+const SchemaSpec kIpaReportSpec{
+    kIpaReportSchema, kReportSchemaVersion,
+    {
+        {"meta", kObject},
+        {"meta/benchmark", kString},
+        {"pipeline", kObject},
+        {"pipeline/rounds", kCount},
+        {"pipeline/ssa_defs", kCount},
+        {"pipeline/ssa_phis", kCount},
+        {"pipeline/ssa_uses", kCount},
+        {"pipeline/sccp_iterations", kCount},
+        {"pipeline/sccp_converged", kBool},
+        {"pipeline/dense_decided", kCount},
+        {"pipeline/sccp_decided", kCount},
+        {"pipeline/merged_decided", kCount},
+        {"resolution", kObject},
+        {"resolution/resolved_calls", kCount},
+        {"resolution/resolved_gotos", kCount},
+        {"resolution/unresolved_sites", kCount},
+        {"resolution/table_loads", kCount},
+        {"resolution/sites", kArray},
+        {"resolution/sites/[]", kObject},
+        {"resolution/sites/[]/pc", kCount},
+        {"resolution/sites/[]/kind", kString, {.labels = &kSiteKinds}},
+        {"resolution/sites/[]/targets", kArray, {.min = 1}},
+        {"resolution/sites/[]/targets/[]", kCount},
+        {"callgraph", kObject},
+        {"callgraph/functions", kCount},
+        {"callgraph/edges", kCount},
+        {"callgraph/recursive", kBool},
+        {"callgraph/main_pc", kCount},
+        {"callgraph/nodes", kArray},
+        {"callgraph/nodes/[]", kObject},
+        {"callgraph/nodes/[]/entry_pc", kCount},
+        {"callgraph/nodes/[]/symbol", kString},
+        {"callgraph/nodes/[]/blocks", kCount},
+        {"callgraph/nodes/[]/clobber_mask", kCount},
+        {"callgraph/nodes/[]/clobber_count", kCount},
+        {"callgraph/nodes/[]/return_value", kString},
+        {"callgraph/nodes/[]/callees", kArray},
+        {"callgraph/nodes/[]/callees/[]", kCount},
+        {"callgraph/nodes/[]/call_site_pcs", kArray},
+        {"callgraph/nodes/[]/call_site_pcs/[]", kCount},
+        {"callgraph/nodes/[]/unresolved_indirect", kBool},
+        {"callgraph/nodes/[]/reachable_from_main", kBool},
+        {"callgraph/nodes/[]/wcet_bounded", kBool},
+        {"callgraph/nodes/[]/wcet_cycles", kCount},
+        {"wcet", kObject},
+        {"wcet/bounded", kBool},
+        {"wcet/cycles", kCount},
+        {"wcet/reason", kString},
+    },
+    {
+        // The reduced product can only add decided branches.
+        {"pipeline.merged_decided >= pipeline.dense_decided",
+         [](const JsonValue& d) {
+             return countAt(d, "pipeline/merged_decided") >=
+                    countAt(d, "pipeline/dense_decided");
+         }},
+        {"resolution call/goto counts == the sites array",
+         [](const JsonValue& d) {
+             const JsonArray& sites = itemsAt(d, "resolution/sites");
+             return countAt(d, "resolution/resolved_calls") ==
+                        countLabel(sites, "kind", "call") &&
+                    countAt(d, "resolution/resolved_gotos") ==
+                        countLabel(sites, "kind", "goto");
+         }},
+        {"callgraph.functions/edges == the nodes and their callee lists",
+         [](const JsonValue& d) {
+             const JsonArray& nodes = itemsAt(d, "callgraph/nodes");
+             std::uint64_t edges = 0;
+             for (const JsonValue& node : nodes)
+                 edges += itemsAt(node, "callees").size();
+             return countAt(d, "callgraph/functions") == nodes.size() &&
+                    countAt(d, "callgraph/edges") == edges;
+         }},
+    }};
+
 ReportValidation validateIpaReportJson(const JsonValue& doc) {
-    ReportValidation out;
-    const auto fail = [&out](std::string message) {
-        out.errors.push_back(std::move(message));
-    };
-    if (!doc.isObject()) {
-        fail("ipa_report: not a JSON object");
-        return out;
-    }
-    const auto member = [&](const JsonValue& obj, const char* key,
-                            const char* context) -> const JsonValue* {
-        const JsonValue* v = obj.find(key);
-        if (v == nullptr)
-            fail(std::string(context) + ": missing required member '" + key +
-                 "'");
-        return v;
-    };
-
-    if (const JsonValue* schema = member(doc, "schema", "ipa_report"))
-        if (!schema->isString() || schema->asString() != kIpaReportSchema)
-            fail(std::string("ipa_report: schema is not '") + kIpaReportSchema +
-                 "'");
-    if (const JsonValue* version = member(doc, "version", "ipa_report"))
-        if (!version->isNumber() || version->asUint() != kReportSchemaVersion)
-            fail("ipa_report: unsupported schema version");
-
-    if (const JsonValue* meta = member(doc, "meta", "ipa_report")) {
-        if (!meta->isObject()) {
-            fail("ipa_report: meta is not an object");
-        } else {
-            const JsonValue* bench = meta->find("benchmark");
-            if (bench == nullptr || !bench->isString())
-                fail("ipa_report: meta.benchmark missing or not a string");
-        }
-    }
-
-    if (const JsonValue* pipeline = member(doc, "pipeline", "ipa_report")) {
-        if (!pipeline->isObject()) {
-            fail("ipa_report: pipeline is not an object");
-        } else {
-            for (const char* key :
-                 {"rounds", "ssa_defs", "ssa_phis", "ssa_uses",
-                  "sccp_iterations", "dense_decided", "sccp_decided",
-                  "merged_decided"}) {
-                const JsonValue* v = pipeline->find(key);
-                if (v == nullptr || !v->isNumber())
-                    fail(std::string("ipa_report: pipeline.") + key +
-                         " missing or not a number");
-            }
-            const JsonValue* converged = pipeline->find("sccp_converged");
-            if (converged == nullptr || !converged->isBool())
-                fail("ipa_report: pipeline.sccp_converged missing or not a "
-                     "bool");
-            // The reduced product can only add decided branches.
-            const JsonValue* dense = pipeline->find("dense_decided");
-            const JsonValue* merged = pipeline->find("merged_decided");
-            if (dense != nullptr && dense->isNumber() && merged != nullptr &&
-                merged->isNumber() && merged->asUint() < dense->asUint())
-                fail("ipa_report: pipeline.merged_decided is below "
-                     "dense_decided (reduced product lost precision)");
-        }
-    }
-
-    std::size_t siteCount = 0;
-    if (const JsonValue* resolution = member(doc, "resolution", "ipa_report")) {
-        if (!resolution->isObject()) {
-            fail("ipa_report: resolution is not an object");
-        } else {
-            for (const char* key : {"resolved_calls", "resolved_gotos",
-                                    "unresolved_sites", "table_loads"}) {
-                const JsonValue* v = resolution->find(key);
-                if (v == nullptr || !v->isNumber())
-                    fail(std::string("ipa_report: resolution.") + key +
-                         " missing or not a number");
-            }
-            if (const JsonValue* sites =
-                    member(*resolution, "sites", "ipa_report: resolution")) {
-                if (!sites->isArray()) {
-                    fail("ipa_report: resolution.sites is not an array");
-                } else {
-                    siteCount = sites->asArray().size();
-                    std::size_t index = 0;
-                    for (const JsonValue& record : sites->asArray()) {
-                        const std::string context =
-                            "ipa_report: resolution.sites[" +
-                            std::to_string(index) + "]";
-                        ++index;
-                        if (!record.isObject()) {
-                            fail(context + " is not an object");
-                            continue;
-                        }
-                        const JsonValue* pc = record.find("pc");
-                        if (pc == nullptr || !pc->isNumber())
-                            fail(context + ".pc missing or not a number");
-                        const JsonValue* kind = record.find("kind");
-                        if (kind == nullptr || !kind->isString() ||
-                            (kind->asString() != "call" &&
-                             kind->asString() != "goto"))
-                            fail(context + ".kind is not 'call' or 'goto'");
-                        const JsonValue* targets = record.find("targets");
-                        if (targets == nullptr || !targets->isArray() ||
-                            targets->asArray().empty())
-                            fail(context +
-                                 ".targets missing or not a non-empty array");
-                    }
-                }
-            }
-            const JsonValue* calls = resolution->find("resolved_calls");
-            const JsonValue* gotos = resolution->find("resolved_gotos");
-            if (calls != nullptr && calls->isNumber() && gotos != nullptr &&
-                gotos->isNumber() &&
-                calls->asUint() + gotos->asUint() != siteCount)
-                fail("ipa_report: resolution counters do not match the sites "
-                     "array");
-        }
-    }
-
-    if (const JsonValue* callgraph = member(doc, "callgraph", "ipa_report")) {
-        if (!callgraph->isObject()) {
-            fail("ipa_report: callgraph is not an object");
-        } else {
-            for (const char* key : {"functions", "edges", "main_pc"}) {
-                const JsonValue* v = callgraph->find(key);
-                if (v == nullptr || !v->isNumber())
-                    fail(std::string("ipa_report: callgraph.") + key +
-                         " missing or not a number");
-            }
-            const JsonValue* recursive = callgraph->find("recursive");
-            if (recursive == nullptr || !recursive->isBool())
-                fail("ipa_report: callgraph.recursive missing or not a bool");
-            std::uint64_t edgeSum = 0;
-            std::size_t nodeCount = 0;
-            if (const JsonValue* nodes =
-                    member(*callgraph, "nodes", "ipa_report: callgraph")) {
-                if (!nodes->isArray()) {
-                    fail("ipa_report: callgraph.nodes is not an array");
-                } else {
-                    nodeCount = nodes->asArray().size();
-                    std::size_t index = 0;
-                    for (const JsonValue& record : nodes->asArray()) {
-                        const std::string context =
-                            "ipa_report: callgraph.nodes[" +
-                            std::to_string(index) + "]";
-                        ++index;
-                        if (!record.isObject()) {
-                            fail(context + " is not an object");
-                            continue;
-                        }
-                        for (const char* key :
-                             {"entry_pc", "blocks", "clobber_mask",
-                              "clobber_count", "wcet_cycles"}) {
-                            const JsonValue* v = record.find(key);
-                            if (v == nullptr || !v->isNumber())
-                                fail(context + "." + key +
-                                     " missing or not a number");
-                        }
-                        for (const char* key : {"symbol", "return_value"}) {
-                            const JsonValue* v = record.find(key);
-                            if (v == nullptr || !v->isString())
-                                fail(context + "." + key +
-                                     " missing or not a string");
-                        }
-                        for (const char* key :
-                             {"unresolved_indirect", "reachable_from_main",
-                              "wcet_bounded"}) {
-                            const JsonValue* v = record.find(key);
-                            if (v == nullptr || !v->isBool())
-                                fail(context + "." + key +
-                                     " missing or not a bool");
-                        }
-                        for (const char* key : {"callees", "call_site_pcs"}) {
-                            const JsonValue* v = record.find(key);
-                            if (v == nullptr || !v->isArray())
-                                fail(context + "." + key +
-                                     " missing or not an array");
-                            else if (std::string(key) == "callees")
-                                edgeSum += v->asArray().size();
-                        }
-                    }
-                }
-            }
-            const JsonValue* functions = callgraph->find("functions");
-            if (functions != nullptr && functions->isNumber() &&
-                functions->asUint() != nodeCount)
-                fail("ipa_report: callgraph.functions does not match the "
-                     "nodes array");
-            const JsonValue* edges = callgraph->find("edges");
-            if (edges != nullptr && edges->isNumber() &&
-                edges->asUint() != edgeSum)
-                fail("ipa_report: callgraph.edges does not match the summed "
-                     "callee lists");
-        }
-    }
-
-    if (const JsonValue* wcet = member(doc, "wcet", "ipa_report")) {
-        if (!wcet->isObject()) {
-            fail("ipa_report: wcet is not an object");
-        } else {
-            const JsonValue* bounded = wcet->find("bounded");
-            if (bounded == nullptr || !bounded->isBool())
-                fail("ipa_report: wcet.bounded missing or not a bool");
-            const JsonValue* cycles = wcet->find("cycles");
-            if (cycles == nullptr || !cycles->isNumber())
-                fail("ipa_report: wcet.cycles missing or not a number");
-            const JsonValue* reason = wcet->find("reason");
-            if (reason == nullptr || !reason->isString())
-                fail("ipa_report: wcet.reason missing or not a string");
-        }
-    }
-    return out;
+    return validate(doc, kIpaReportSpec);
 }
 
 }  // namespace asbr

@@ -34,7 +34,8 @@ struct IpaReportMeta {
 [[nodiscard]] JsonValue ipaReportJson(
     const IpaReportMeta& meta, const analysis::FoldLegalityVerifier& verifier);
 
-/// Schema validation; shares ReportValidation with the other report kinds.
+/// The schema's field table (docs/metrics.md) and its validator.
+extern const SchemaSpec kIpaReportSpec;
 [[nodiscard]] ReportValidation validateIpaReportJson(const JsonValue& doc);
 
 }  // namespace asbr

@@ -129,181 +129,109 @@ JsonValue benchReportJson(const std::string& generator, JsonValue options,
 
 // ------------------------------------------------------------ validation ----
 
-namespace {
+using enum FieldType;
 
-/// Counters every conforming sim_report must carry — the fields the Fig. 6
-/// (cycles/CPI/accuracy/mispredicts) and Fig. 11 (cycles/folds/activity/
-/// storage) tables are generated from.
-constexpr const char* kRequiredCounters[] = {
-    "pipeline.cycles",
-    "pipeline.committed",
-    "pipeline.fetched",
-    "pipeline.cond_branches",
-    "pipeline.folded_branches",
-    "pipeline.predicted_branches",
-    "pipeline.predicted_correct",
-    "pipeline.mispredicts",
-    "mem.icache.accesses",
-    "mem.icache.misses",
-    "mem.dcache.accesses",
-    "mem.dcache.misses",
-};
+const std::vector<std::string> kValueStageNames = labelsOf(
+    valueStageName,
+    {ValueStage::kExEnd, ValueStage::kMemEnd, ValueStage::kCommit});
 
-constexpr const char* kRequiredDerived[] = {
-    "cpi",
-    "predictor_accuracy",
-    "resolution_accuracy",
-    "fold_rate",
-    "branch_fraction",
-};
-
-class Checker {
-public:
-    explicit Checker(ReportValidation& out) : out_(out) {}
-
-    void fail(std::string message) { out_.errors.push_back(std::move(message)); }
-
-    const JsonValue* member(const JsonValue& doc, const std::string& key,
-                            const char* context) {
-        const JsonValue* v = doc.find(key);
-        if (v == nullptr)
-            fail(std::string(context) + ": missing required member '" + key +
-                 "'");
-        return v;
-    }
-
-private:
-    ReportValidation& out_;
-};
-
-void validateSimReportInto(const JsonValue& doc, ReportValidation& out,
-                           const std::string& context) {
-    Checker check(out);
-    if (!doc.isObject()) {
-        check.fail(context + ": not a JSON object");
-        return;
-    }
-    if (const JsonValue* schema = check.member(doc, "schema", context.c_str()))
-        if (!schema->isString() || schema->asString() != kSimReportSchema)
-            check.fail(context + ": schema is not '" +
-                       std::string(kSimReportSchema) + "'");
-    if (const JsonValue* version = check.member(doc, "version", context.c_str()))
-        if (!version->isNumber() || version->asUint() != kReportSchemaVersion)
-            check.fail(context + ": unsupported schema version");
-    if (const JsonValue* meta = check.member(doc, "meta", context.c_str())) {
-        if (!meta->isObject()) {
-            check.fail(context + ": meta is not an object");
-        } else {
-            for (const char* key : {"benchmark", "predictor"}) {
-                const JsonValue* v = meta->find(key);
-                if (v == nullptr || !v->isString())
-                    check.fail(context + ": meta." + key +
-                               " missing or not a string");
-            }
-        }
-    }
-    const JsonValue* counters = check.member(doc, "counters", context.c_str());
-    if (counters != nullptr) {
-        if (!counters->isObject()) {
-            check.fail(context + ": counters is not an object");
-        } else {
-            for (const auto& [name, value] : counters->asObject())
-                if (!value.isNumber())
-                    check.fail(context + ": counter '" + name +
-                               "' is not a number");
-            for (const char* name : kRequiredCounters)
-                if (counters->find(name) == nullptr)
-                    check.fail(context + ": missing required counter '" +
-                               std::string(name) + "'");
-        }
-    }
-    if (const JsonValue* derived = check.member(doc, "derived", context.c_str())) {
-        if (!derived->isObject()) {
-            check.fail(context + ": derived is not an object");
-        } else {
-            for (const char* name : kRequiredDerived) {
-                const JsonValue* v = derived->find(name);
-                if (v == nullptr || !v->isNumber())
-                    check.fail(context + ": derived." + name +
-                               " missing or not a number");
-            }
-        }
-    }
-    if (const JsonValue* histograms =
-            check.member(doc, "histograms", context.c_str())) {
-        if (!histograms->isObject()) {
-            check.fail(context + ": histograms is not an object");
-        } else {
-            for (const auto& [name, h] : histograms->asObject()) {
-                const JsonValue* bounds = h.find("bounds");
-                const JsonValue* counts = h.find("counts");
-                if (bounds == nullptr || counts == nullptr ||
-                    !bounds->isArray() || !counts->isArray() ||
-                    counts->asArray().size() != bounds->asArray().size() + 1)
-                    check.fail(context + ": histogram '" + name +
-                               "' needs counts.size == bounds.size + 1");
-            }
-        }
-    }
-    if (const JsonValue* sites = check.member(doc, "sites", context.c_str()))
-        if (!sites->isObject())
-            check.fail(context + ": sites is not an object");
-
-    // Cross-field consistency: every executed conditional branch is either
-    // folded or handed to the predictor, never both.
-    if (counters != nullptr && counters->isObject()) {
-        const JsonValue* cond = counters->find("pipeline.cond_branches");
-        const JsonValue* folded = counters->find("pipeline.folded_branches");
-        const JsonValue* predicted =
-            counters->find("pipeline.predicted_branches");
-        if (cond != nullptr && folded != nullptr && predicted != nullptr &&
-            cond->isNumber() && folded->isNumber() && predicted->isNumber() &&
-            folded->asUint() + predicted->asUint() != cond->asUint())
-            check.fail(context +
-                       ": folded_branches + predicted_branches != "
-                       "cond_branches");
-    }
+bool asbrMetaConsistent(const JsonValue& d) {
+    const JsonValue& meta = at(d, "meta");
+    const bool asbr = meta.find("asbr")->asBool();
+    return (meta.find("bit_entries") != nullptr) == asbr &&
+           (meta.find("update_stage") != nullptr) == asbr &&
+           (meta.find("predictor_aware") == nullptr || asbr);
 }
 
-}  // namespace
+// The counters required here are the ones the Fig. 6 (cycles/CPI/accuracy/
+// mispredicts) and Fig. 11 (cycles/folds/activity/storage) tables are
+// generated from.
+const SchemaSpec kSimReportSpec{
+    kSimReportSchema, kReportSchemaVersion,
+    {
+        {"meta", kObject},
+        {"meta/benchmark", kString},
+        {"meta/predictor", kString},
+        {"meta/predictor_token", kString, {.optional = true}},
+        {"meta/figure", kString, {.optional = true}},
+        {"meta/seed", kCount},
+        {"meta/samples", kCount},
+        {"meta/scheduled", kBool},
+        {"meta/asbr", kBool},
+        {"meta/bit_entries", kCount, {.optional = true}},
+        {"meta/update_stage", kString,
+         {.optional = true, .labels = &kValueStageNames}},
+        {"meta/predictor_aware", kBool, {.optional = true}},
+        {"counters", kObject},
+        {"counters/*", kCount},
+        {"counters/pipeline.cycles", kCount},
+        {"counters/pipeline.committed", kCount},
+        {"counters/pipeline.fetched", kCount},
+        {"counters/pipeline.cond_branches", kCount},
+        {"counters/pipeline.folded_branches", kCount},
+        {"counters/pipeline.predicted_branches", kCount},
+        {"counters/pipeline.predicted_correct", kCount},
+        {"counters/pipeline.mispredicts", kCount},
+        {"counters/mem.icache.accesses", kCount},
+        {"counters/mem.icache.misses", kCount},
+        {"counters/mem.dcache.accesses", kCount},
+        {"counters/mem.dcache.misses", kCount},
+        {"derived", kObject},
+        {"derived/cpi", kNumber},
+        {"derived/predictor_accuracy", kNumber, {.max = 1}},
+        {"derived/resolution_accuracy", kNumber, {.max = 1}},
+        {"derived/fold_rate", kNumber, {.max = 1}},
+        {"derived/branch_fraction", kNumber, {.max = 1}},
+        {"derived/icache_miss_rate", kNumber, {.max = 1}},
+        {"derived/dcache_miss_rate", kNumber, {.max = 1}},
+        {"histograms", kObject},
+        {"histograms/*", kObject},
+        {"histograms/*/bounds", kArray},
+        {"histograms/*/bounds/[]", kNumber},
+        {"histograms/*/counts", kArray},
+        {"histograms/*/counts/[]", kCount},
+        {"histograms/*/total", kCount},
+        {"histograms/*/sum", kNumber},
+        {"histograms/*/min", kNumber},
+        {"histograms/*/max", kNumber},
+        {"sites", kObject},
+        {"sites/*", kObject},
+        {"sites/*/*", kCount},
+    },
+    {
+        {"folded_branches + predicted_branches == cond_branches",
+         [](const JsonValue& d) {
+             return countAt(d, "counters/pipeline.folded_branches") +
+                        countAt(d, "counters/pipeline.predicted_branches") ==
+                    countAt(d, "counters/pipeline.cond_branches");
+         }},
+        {"histogram counts.size == bounds.size + 1",
+         [](const JsonValue& d) {
+             for (const auto& [name, h] : at(d, "histograms").asObject())
+                 if (itemsAt(h, "counts").size() !=
+                     itemsAt(h, "bounds").size() + 1)
+                     return false;
+             return true;
+         }},
+        {"meta.bit_entries/update_stage present iff meta.asbr",
+         asbrMetaConsistent},
+    }};
+
+const SchemaSpec kBenchReportSpec{
+    kBenchReportSchema, kReportSchemaVersion,
+    {
+        {"generator", kString},
+        {"options", kObject},
+        {"runs", kArray, {.min = 1}},
+        {"runs/[]", kObject, {.nested = &kSimReportSpec}},
+    }};
 
 ReportValidation validateSimReportJson(const JsonValue& doc) {
-    ReportValidation out;
-    validateSimReportInto(doc, out, "sim_report");
-    return out;
+    return validate(doc, kSimReportSpec);
 }
 
 ReportValidation validateBenchReportJson(const JsonValue& doc) {
-    ReportValidation out;
-    Checker check(out);
-    if (!doc.isObject()) {
-        check.fail("bench_report: not a JSON object");
-        return out;
-    }
-    if (const JsonValue* schema = check.member(doc, "schema", "bench_report"))
-        if (!schema->isString() || schema->asString() != kBenchReportSchema)
-            check.fail(std::string("bench_report: schema is not '") +
-                       kBenchReportSchema + "'");
-    if (const JsonValue* version = check.member(doc, "version", "bench_report"))
-        if (!version->isNumber() || version->asUint() != kReportSchemaVersion)
-            check.fail("bench_report: unsupported schema version");
-    if (const JsonValue* generator =
-            check.member(doc, "generator", "bench_report"))
-        if (!generator->isString())
-            check.fail("bench_report: generator is not a string");
-    if (const JsonValue* runs = check.member(doc, "runs", "bench_report")) {
-        if (!runs->isArray() || runs->asArray().empty()) {
-            check.fail("bench_report: runs missing, not an array, or empty");
-        } else {
-            std::size_t index = 0;
-            for (const JsonValue& run : runs->asArray()) {
-                validateSimReportInto(run, out,
-                                      "runs[" + std::to_string(index) + "]");
-                ++index;
-            }
-        }
-    }
-    return out;
+    return validate(doc, kBenchReportSpec);
 }
 
 }  // namespace asbr

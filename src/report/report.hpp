@@ -4,15 +4,16 @@
 // Every bench binary, the asbr-stats CLI and ci/bench-report.sh produce
 // their JSON artifacts through this one code path, so EXPERIMENTS.md tables
 // can be regenerated and diffed mechanically instead of scraping printf
-// output.  docs/metrics.md documents the JSON schema; the validators here
-// are the executable form of that document and are run both in tests and on
-// every CI-produced artifact.
+// output.  docs/metrics.md documents the JSON schema; the field tables here
+// are the executable form of that document and are checked both in tests
+// and on every CI-produced artifact.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "report/schema.hpp"
 #include "sim/pipeline.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
@@ -29,6 +30,8 @@ inline constexpr std::uint64_t kReportSchemaVersion = 1;
 
 /// Human-readable name of a BDT update stage ("ex_end"/"mem_end"/"commit").
 [[nodiscard]] const char* valueStageName(ValueStage stage);
+/// Every valueStageName, as a FieldCheck label set.
+extern const std::vector<std::string> kValueStageNames;
 
 /// Identity of one run: what executed, under which predictor/ASBR setup.
 struct RunMeta {
@@ -77,12 +80,13 @@ struct SimReport {
                                         JsonValue options,
                                         const std::vector<SimReport>& runs);
 
-/// Schema validation: empty error list means the document conforms.
-struct ReportValidation {
-    std::vector<std::string> errors;
-    [[nodiscard]] bool ok() const { return errors.empty(); }
-};
+/// Invariant of the run-meta block sim and sampling reports share:
+/// bit_entries and update_stage are present exactly when `asbr` is true.
+[[nodiscard]] bool asbrMetaConsistent(const JsonValue& doc);
 
+/// The two schemas' field tables (docs/metrics.md) and their validators.
+extern const SchemaSpec kSimReportSpec;
+extern const SchemaSpec kBenchReportSpec;
 [[nodiscard]] ReportValidation validateSimReportJson(const JsonValue& doc);
 [[nodiscard]] ReportValidation validateBenchReportJson(const JsonValue& doc);
 

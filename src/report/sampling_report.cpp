@@ -102,207 +102,96 @@ JsonValue samplingReportJson(const RunMeta& meta,
     return JsonValue(std::move(doc));
 }
 
+using enum FieldType;
+
+const SchemaSpec kSamplingReportSpec{
+    kSamplingReportSchema, kReportSchemaVersion,
+    {
+        {"meta", kObject},
+        {"meta/benchmark", kString},
+        {"meta/predictor", kString},
+        {"meta/seed", kCount},
+        {"meta/samples", kCount},
+        {"meta/scheduled", kBool},
+        {"meta/asbr", kBool},
+        {"meta/bit_entries", kCount, {.optional = true}},
+        {"meta/update_stage", kString,
+         {.optional = true, .labels = &kValueStageNames}},
+        {"sampling", kObject},
+        {"sampling/warmup", kCount},
+        {"sampling/measure", kCount, {.min = 1}},
+        {"sampling/skip", kCount},
+        {"totals", kObject},
+        {"totals/windows", kCount},
+        {"totals/measured_instructions", kCount},
+        {"totals/measured_cycles", kCount},
+        {"totals/fast_forward_instructions", kCount},
+        {"totals/total_instructions", kCount},
+        {"totals/cond_branches", kCount},
+        {"totals/folded_branches", kCount},
+        {"totals/exited", kBool},
+        {"totals/exit_code", kInteger},
+        {"estimate", kObject},
+        {"estimate/cpi_micro", kCount},
+        {"estimate/ci95_half_width_micro", kCount},
+        {"estimate/error_bound_micro", kCount},
+        {"estimate/fold_rate_micro", kCount},
+        {"reference", kObject, {.optional = true}},
+        {"reference/cycles", kCount},
+        {"reference/committed", kCount},
+        {"reference/cpi_micro", kCount},
+        {"reference/abs_error_micro", kCount},
+        {"reference/within_bound", kBool},
+        {"windows", kArray},
+        {"windows/[]", kObject},
+        {"windows/[]/start_instruction", kCount},
+        {"windows/[]/instructions", kCount},
+        {"windows/[]/cycles", kCount},
+    },
+    {
+        {"meta.bit_entries/update_stage present iff meta.asbr",
+         asbrMetaConsistent},
+        // The bound is a pure integer function of the estimate and its CI.
+        {"error_bound_micro == max(ci95_half_width_micro, cpi_micro/100)",
+         [](const JsonValue& d) {
+             return countAt(d, "estimate/error_bound_micro") ==
+                    std::max(countAt(d, "estimate/ci95_half_width_micro"),
+                             countAt(d, "estimate/cpi_micro") / 100);
+         }},
+        {"reference abs_error_micro/within_bound follow from the CPI fields",
+         [](const JsonValue& d) {
+             const JsonValue* ref = d.find("reference");
+             if (ref == nullptr) return true;
+             const std::uint64_t cpi = countAt(d, "estimate/cpi_micro");
+             const std::uint64_t refCpi = countAt(*ref, "cpi_micro");
+             const std::uint64_t error =
+                 refCpi > cpi ? refCpi - cpi : cpi - refCpi;
+             return countAt(*ref, "abs_error_micro") == error &&
+                    at(*ref, "within_bound").asBool() ==
+                        (error <= countAt(d, "estimate/error_bound_micro"));
+         }},
+        {"totals == the windows array",
+         [](const JsonValue& d) {
+             const JsonArray& windows = itemsAt(d, "windows");
+             return countAt(d, "totals/windows") == windows.size() &&
+                    countAt(d, "totals/measured_instructions") ==
+                        sumOf(windows, "instructions") &&
+                    countAt(d, "totals/measured_cycles") ==
+                        sumOf(windows, "cycles");
+         }},
+        {"windows[].start_instruction strictly increasing",
+         [](const JsonValue& d) {
+             const JsonArray& windows = itemsAt(d, "windows");
+             for (std::size_t i = 1; i < windows.size(); ++i)
+                 if (countAt(windows[i], "start_instruction") <=
+                     countAt(windows[i - 1], "start_instruction"))
+                     return false;
+             return true;
+         }},
+    }};
+
 ReportValidation validateSamplingReportJson(const JsonValue& doc) {
-    ReportValidation out;
-    const auto fail = [&out](std::string message) {
-        out.errors.push_back(std::move(message));
-    };
-    if (!doc.isObject()) {
-        fail("sampling_report: not a JSON object");
-        return out;
-    }
-    const auto member = [&](const JsonValue& obj, const char* key,
-                            const char* context) -> const JsonValue* {
-        const JsonValue* v = obj.find(key);
-        if (v == nullptr)
-            fail(std::string(context) + ": missing required member '" + key +
-                 "'");
-        return v;
-    };
-
-    if (const JsonValue* schema = member(doc, "schema", "sampling_report"))
-        if (!schema->isString() || schema->asString() != kSamplingReportSchema)
-            fail(std::string("sampling_report: schema is not '") +
-                 kSamplingReportSchema + "'");
-    if (const JsonValue* version = member(doc, "version", "sampling_report"))
-        if (!version->isNumber() || version->asUint() != kReportSchemaVersion)
-            fail("sampling_report: unsupported schema version");
-
-    if (const JsonValue* meta = member(doc, "meta", "sampling_report")) {
-        if (!meta->isObject()) {
-            fail("sampling_report: meta is not an object");
-        } else {
-            for (const char* key : {"benchmark", "predictor"}) {
-                const JsonValue* v = meta->find(key);
-                if (v == nullptr || !v->isString())
-                    fail(std::string("sampling_report: meta.") + key +
-                         " missing or not a string");
-            }
-            for (const char* key : {"seed", "samples"}) {
-                const JsonValue* v = meta->find(key);
-                if (v == nullptr || !v->isNumber())
-                    fail(std::string("sampling_report: meta.") + key +
-                         " missing or not a number");
-            }
-            for (const char* key : {"scheduled", "asbr"}) {
-                const JsonValue* v = meta->find(key);
-                if (v == nullptr || !v->isBool())
-                    fail(std::string("sampling_report: meta.") + key +
-                         " missing or not a bool");
-            }
-        }
-    }
-
-    std::uint64_t measure = 0;
-    if (const JsonValue* sampling = member(doc, "sampling", "sampling_report")) {
-        if (!sampling->isObject()) {
-            fail("sampling_report: sampling is not an object");
-        } else {
-            for (const char* key : {"warmup", "measure", "skip"}) {
-                const JsonValue* v = sampling->find(key);
-                if (v == nullptr || !v->isNumber())
-                    fail(std::string("sampling_report: sampling.") + key +
-                         " missing or not a number");
-                else if (std::string(key) == "measure")
-                    measure = v->asUint();
-            }
-            if (measure == 0)
-                fail("sampling_report: sampling.measure must be nonzero");
-        }
-    }
-
-    std::uint64_t totalWindows = 0, measuredInstructions = 0,
-                  measuredCycles = 0;
-    if (const JsonValue* totals = member(doc, "totals", "sampling_report")) {
-        if (!totals->isObject()) {
-            fail("sampling_report: totals is not an object");
-        } else {
-            for (const char* key :
-                 {"windows", "measured_instructions", "measured_cycles",
-                  "fast_forward_instructions", "total_instructions",
-                  "cond_branches", "folded_branches", "exit_code"}) {
-                const JsonValue* v = totals->find(key);
-                if (v == nullptr || !v->isNumber())
-                    fail(std::string("sampling_report: totals.") + key +
-                         " missing or not a number");
-            }
-            const JsonValue* exited = totals->find("exited");
-            if (exited == nullptr || !exited->isBool())
-                fail("sampling_report: totals.exited missing or not a bool");
-            if (const JsonValue* v = totals->find("windows"))
-                if (v->isNumber()) totalWindows = v->asUint();
-            if (const JsonValue* v = totals->find("measured_instructions"))
-                if (v->isNumber()) measuredInstructions = v->asUint();
-            if (const JsonValue* v = totals->find("measured_cycles"))
-                if (v->isNumber()) measuredCycles = v->asUint();
-        }
-    }
-
-    std::uint64_t cpiMicro = 0, ci95Micro = 0, boundMicro = 0;
-    if (const JsonValue* estimate = member(doc, "estimate", "sampling_report")) {
-        if (!estimate->isObject()) {
-            fail("sampling_report: estimate is not an object");
-        } else {
-            for (const char* key :
-                 {"cpi_micro", "ci95_half_width_micro", "error_bound_micro",
-                  "fold_rate_micro"}) {
-                const JsonValue* v = estimate->find(key);
-                if (v == nullptr || !v->isNumber())
-                    fail(std::string("sampling_report: estimate.") + key +
-                         " missing or not a number");
-            }
-            if (const JsonValue* v = estimate->find("cpi_micro"))
-                if (v->isNumber()) cpiMicro = v->asUint();
-            if (const JsonValue* v = estimate->find("ci95_half_width_micro"))
-                if (v->isNumber()) ci95Micro = v->asUint();
-            if (const JsonValue* v = estimate->find("error_bound_micro"))
-                if (v->isNumber()) boundMicro = v->asUint();
-            // The bound is a pure integer function of the other two fields.
-            if (boundMicro != std::max(ci95Micro, cpiMicro / 100))
-                fail("sampling_report: estimate.error_bound_micro is not "
-                     "max(ci95_half_width_micro, cpi_micro/100)");
-        }
-    }
-
-    if (const JsonValue* ref = doc.find("reference")) {
-        if (!ref->isObject()) {
-            fail("sampling_report: reference is not an object");
-        } else {
-            for (const char* key :
-                 {"cycles", "committed", "cpi_micro", "abs_error_micro"}) {
-                const JsonValue* v = ref->find(key);
-                if (v == nullptr || !v->isNumber())
-                    fail(std::string("sampling_report: reference.") + key +
-                         " missing or not a number");
-            }
-            const JsonValue* within = ref->find("within_bound");
-            if (within == nullptr || !within->isBool())
-                fail("sampling_report: reference.within_bound missing or not "
-                     "a bool");
-            const JsonValue* refCpi = ref->find("cpi_micro");
-            const JsonValue* absError = ref->find("abs_error_micro");
-            if (refCpi != nullptr && refCpi->isNumber() && absError != nullptr &&
-                absError->isNumber()) {
-                const std::uint64_t expected =
-                    refCpi->asUint() > cpiMicro ? refCpi->asUint() - cpiMicro
-                                                : cpiMicro - refCpi->asUint();
-                if (absError->asUint() != expected)
-                    fail("sampling_report: reference.abs_error_micro "
-                         "contradicts the CPI fields");
-                if (within != nullptr && within->isBool() &&
-                    within->asBool() != (absError->asUint() <= boundMicro))
-                    fail("sampling_report: reference.within_bound contradicts "
-                         "abs_error/error_bound");
-            }
-        }
-    }
-
-    if (const JsonValue* windows = member(doc, "windows", "sampling_report")) {
-        if (!windows->isArray()) {
-            fail("sampling_report: windows is not an array");
-        } else {
-            std::uint64_t sumInstructions = 0, sumCycles = 0;
-            std::uint64_t prevStart = 0;
-            std::size_t index = 0;
-            for (const JsonValue& record : windows->asArray()) {
-                const std::string context =
-                    "sampling_report: windows[" + std::to_string(index) + "]";
-                if (!record.isObject()) {
-                    fail(context + " is not an object");
-                    ++index;
-                    continue;
-                }
-                for (const char* key :
-                     {"start_instruction", "instructions", "cycles"}) {
-                    const JsonValue* v = record.find(key);
-                    if (v == nullptr || !v->isNumber())
-                        fail(context + "." + key + " missing or not a number");
-                }
-                const JsonValue* start = record.find("start_instruction");
-                if (start != nullptr && start->isNumber()) {
-                    if (index > 0 && start->asUint() <= prevStart)
-                        fail(context +
-                             ".start_instruction is not strictly increasing");
-                    prevStart = start->asUint();
-                }
-                if (const JsonValue* v = record.find("instructions"))
-                    if (v->isNumber()) sumInstructions += v->asUint();
-                if (const JsonValue* v = record.find("cycles"))
-                    if (v->isNumber()) sumCycles += v->asUint();
-                ++index;
-            }
-            if (index != totalWindows)
-                fail("sampling_report: totals.windows does not match the "
-                     "windows array");
-            if (sumInstructions != measuredInstructions)
-                fail("sampling_report: totals.measured_instructions does not "
-                     "match the windows array");
-            if (sumCycles != measuredCycles)
-                fail("sampling_report: totals.measured_cycles does not match "
-                     "the windows array");
-        }
-    }
-    return out;
+    return validate(doc, kSamplingReportSpec);
 }
 
 }  // namespace asbr

@@ -34,7 +34,8 @@ struct SamplingReference {
     const SampledResult& result,
     const std::optional<SamplingReference>& reference = std::nullopt);
 
-/// Schema validation; shares ReportValidation with the other report kinds.
+/// The schema's field table (docs/metrics.md) and its validator.
+extern const SchemaSpec kSamplingReportSpec;
 [[nodiscard]] ReportValidation validateSamplingReportJson(const JsonValue& doc);
 
 }  // namespace asbr

@@ -35,113 +35,49 @@ JsonValue sweepReportJson(const std::string& generator, JsonValue options,
     return JsonValue(std::move(doc));
 }
 
+using enum FieldType;
+
+const std::vector<std::string> kCellStatuses = {"ok", "failed"};
+
+const SchemaSpec kSweepReportSpec{
+    kSweepReportSchema, kSweepReportVersion,
+    {
+        {"generator", kString},
+        {"options", kObject},
+        {"cells", kArray, {.min = 1}},
+        {"cells/[]", kObject},
+        {"cells/[]/job", kString},
+        {"cells/[]/status", kString, {.labels = &kCellStatuses}},
+        {"cells/[]/attempts", kCount},
+        {"cells/[]/report", kObject,
+         {.optional = true, .nested = &kSimReportSpec}},
+        {"cells/[]/error", kString, {.optional = true}},
+        {"failed_jobs", kArray},
+        {"failed_jobs/[]", kObject},
+        {"failed_jobs/[]/job", kString},
+        {"failed_jobs/[]/attempts", kCount},
+        {"failed_jobs/[]/error", kString},
+    },
+    {
+        {"ok cells carry a report, failed cells an error",
+         [](const JsonValue& d) {
+             for (const JsonValue& cell : itemsAt(d, "cells")) {
+                 const bool ok = at(cell, "status").asString() == "ok";
+                 if ((cell.find("report") != nullptr) != ok ||
+                     (cell.find("error") != nullptr) == ok)
+                     return false;
+             }
+             return true;
+         }},
+        {"len(failed_jobs) == the number of failed cells",
+         [](const JsonValue& d) {
+             return itemsAt(d, "failed_jobs").size() ==
+                    countLabel(itemsAt(d, "cells"), "status", "failed");
+         }},
+    }};
+
 ReportValidation validateSweepReportJson(const JsonValue& doc) {
-    ReportValidation out;
-    const auto fail = [&out](std::string message) {
-        out.errors.push_back(std::move(message));
-    };
-    if (!doc.isObject()) {
-        fail("sweep_report: not a JSON object");
-        return out;
-    }
-    const JsonValue* schema = doc.find("schema");
-    if (schema == nullptr || !schema->isString() ||
-        schema->asString() != kSweepReportSchema)
-        fail(std::string("sweep_report: schema is not '") + kSweepReportSchema +
-             "'");
-    const JsonValue* version = doc.find("version");
-    if (version == nullptr || !version->isNumber() ||
-        version->asUint() != kSweepReportVersion)
-        fail("sweep_report: unsupported schema version (want " +
-             std::to_string(kSweepReportVersion) + ")");
-    const JsonValue* generator = doc.find("generator");
-    if (generator == nullptr || !generator->isString())
-        fail("sweep_report: generator missing or not a string");
-
-    std::size_t failedCells = 0;
-    const JsonValue* cells = doc.find("cells");
-    if (cells == nullptr || !cells->isArray() || cells->asArray().empty()) {
-        fail("sweep_report: cells missing, not an array, or empty");
-    } else {
-        std::size_t index = 0;
-        for (const JsonValue& cell : cells->asArray()) {
-            const std::string context =
-                "cells[" + std::to_string(index) + "]";
-            if (!cell.isObject()) {
-                fail("sweep_report: " + context + " is not an object");
-                ++index;
-                continue;
-            }
-            const JsonValue* job = cell.find("job");
-            if (job == nullptr || !job->isString())
-                fail("sweep_report: " + context +
-                     ".job missing or not a string");
-            const JsonValue* attempts = cell.find("attempts");
-            if (attempts == nullptr || !attempts->isNumber())
-                fail("sweep_report: " + context +
-                     ".attempts missing or not a number");
-            const JsonValue* status = cell.find("status");
-            if (status == nullptr || !status->isString() ||
-                (status->asString() != "ok" &&
-                 status->asString() != "failed")) {
-                fail("sweep_report: " + context +
-                     ".status missing or not 'ok'/'failed'");
-            } else if (status->asString() == "ok") {
-                const JsonValue* report = cell.find("report");
-                if (report == nullptr) {
-                    fail("sweep_report: " + context +
-                         " has status ok but no report");
-                } else {
-                    const ReportValidation inner =
-                        validateSimReportJson(*report);
-                    for (const std::string& error : inner.errors)
-                        fail(context + ".report " + error);
-                }
-            } else {
-                ++failedCells;
-                const JsonValue* error = cell.find("error");
-                if (error == nullptr || !error->isString())
-                    fail("sweep_report: " + context +
-                         " has status failed but no error string");
-            }
-            ++index;
-        }
-    }
-
-    const JsonValue* failed = doc.find("failed_jobs");
-    if (failed == nullptr || !failed->isArray()) {
-        fail("sweep_report: failed_jobs missing or not an array");
-    } else {
-        std::size_t index = 0;
-        for (const JsonValue& entry : failed->asArray()) {
-            const std::string context =
-                "failed_jobs[" + std::to_string(index) + "]";
-            if (!entry.isObject()) {
-                fail("sweep_report: " + context + " is not an object");
-            } else {
-                const JsonValue* job = entry.find("job");
-                if (job == nullptr || !job->isString())
-                    fail("sweep_report: " + context +
-                         ".job missing or not a string");
-                const JsonValue* error = entry.find("error");
-                if (error == nullptr || !error->isString())
-                    fail("sweep_report: " + context +
-                         ".error missing or not a string");
-                const JsonValue* attempts = entry.find("attempts");
-                if (attempts == nullptr || !attempts->isNumber())
-                    fail("sweep_report: " + context +
-                         ".attempts missing or not a number");
-            }
-            ++index;
-        }
-        // Cross-field consistency: the summary must mirror the quarantined
-        // cells exactly.
-        if (cells != nullptr && cells->isArray() &&
-            failed->asArray().size() != failedCells)
-            fail("sweep_report: failed_jobs does not match the number of "
-                 "failed cells");
-    }
-    return out;
+    return validate(doc, kSweepReportSpec);
 }
 
 }  // namespace asbr

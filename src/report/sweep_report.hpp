@@ -16,7 +16,7 @@
 //     sequence (engine counters still go to stderr).
 //
 // Like the other report kinds, the document is produced through exactly one
-// code path and validated by an executable schema checker.  Nothing in the
+// code path and validated against its field table.  Nothing in the
 // document depends on thread count, scheduling or host time, so the same
 // sweep serializes byte-identically at --threads=1 and --threads=8 and
 // across resume boundaries (the determinism tests diff whole files).
@@ -52,7 +52,8 @@ struct SweepCell {
                                         JsonValue options,
                                         const std::vector<SweepCell>& cells);
 
-/// Schema validation; shares ReportValidation with the other report kinds.
+/// The schema's field table (docs/metrics.md) and its validator.
+extern const SchemaSpec kSweepReportSpec;
 [[nodiscard]] ReportValidation validateSweepReportJson(const JsonValue& doc);
 
 }  // namespace asbr

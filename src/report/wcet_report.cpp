@@ -1,18 +1,13 @@
 #include "report/wcet_report.hpp"
 
+#include <algorithm>
+
 namespace asbr {
 
 namespace {
 
 using analysis::timing::BoundSource;
-
-bool knownBoundSourceName(const std::string& name) {
-    for (const BoundSource s :
-         {BoundSource::kAnnotation, BoundSource::kInferred,
-          BoundSource::kProfile, BoundSource::kNone})
-        if (name == analysis::timing::boundSourceName(s)) return true;
-    return false;
-}
+using analysis::timing::boundSourceName;
 
 JsonValue boundJson(const analysis::timing::WcetResult& result) {
     JsonObject b;
@@ -74,7 +69,7 @@ JsonValue wcetReportJson(const WcetReportMeta& meta,
         l.emplace_back("depth", static_cast<std::uint64_t>(loop.depth));
         l.emplace_back("bound", loop.bound.iterations);
         l.emplace_back("source",
-                       analysis::timing::boundSourceName(loop.bound.source));
+                       boundSourceName(loop.bound.source));
         l.emplace_back("bounded", loop.bound.bounded());
         loops.push_back(JsonValue(std::move(l)));
     }
@@ -131,280 +126,133 @@ JsonValue wcetReportJson(const WcetReportMeta& meta,
     return JsonValue(std::move(doc));
 }
 
+using enum FieldType;
+
+const std::vector<std::string> kBoundSources = labelsOf(
+    boundSourceName, {BoundSource::kAnnotation, BoundSource::kInferred,
+                      BoundSource::kProfile, BoundSource::kNone});
+
+const SchemaSpec kWcetReportSpec{
+    kWcetReportSchema, kReportSchemaVersion,
+    {
+        {"meta", kObject},
+        {"meta/benchmark", kString},
+        {"meta/threshold", kCount, {.min = 2, .max = 4}},
+        {"meta/scheduled", kBool},
+        {"meta/seed", kCount},
+        {"meta/samples", kCount},
+        {"cost_model", kObject},
+        {"cost_model/mul_stall", kCount},
+        {"cost_model/div_stall", kCount},
+        {"cost_model/mispredict_penalty", kCount},
+        {"cost_model/icache_miss_penalty", kCount},
+        {"cost_model/dcache_miss_penalty", kCount},
+        {"cost_model/icache_line_bytes", kCount},
+        {"cost_model/pipeline_fill_cycles", kCount},
+        {"bounds", kObject},
+        {"bounds/baseline", kObject},
+        {"bounds/folded", kObject},
+        {"bounds/*", kObject},
+        {"bounds/*/bounded", kBool},
+        {"bounds/*/cycles", kCount},
+        {"bounds/*/reason", kString},
+        {"measured", kObject},
+        {"measured/baseline_cycles", kCount},
+        {"measured/folded_cycles", kCount},
+        {"soundness", kObject},
+        {"soundness/baseline_sound", kBool},
+        {"soundness/folded_sound", kBool},
+        {"soundness/folded_tighter", kBool},
+        {"summary", kObject},
+        {"summary/loops", kCount},
+        {"summary/loops_annotated", kCount},
+        {"summary/loops_inferred", kCount},
+        {"summary/loops_profiled", kCount},
+        {"summary/loops_unbounded", kCount},
+        {"summary/branches", kCount},
+        {"summary/folded_branches", kCount},
+        {"loops", kArray},
+        {"loops/[]", kObject},
+        {"loops/[]/head_pc", kCount},
+        {"loops/[]/line", kCount},
+        {"loops/[]/depth", kCount},
+        {"loops/[]/bound", kCount},
+        {"loops/[]/source", kString, {.labels = &kBoundSources}},
+        {"loops/[]/bounded", kBool},
+        {"branches", kArray},
+        {"branches/[]", kObject},
+        {"branches/[]/pc", kCount},
+        {"branches/[]/line", kCount},
+        {"branches/[]/exec_bound", kCount},
+        {"branches/[]/unit_cost", kCount},
+        {"branches/[]/total_cost", kCount},
+        {"branches/[]/folded", kBool},
+    },
+    {
+        {"soundness flags == recomputed from bounds and measured",
+         [](const JsonValue& d) {
+             const bool base = at(d, "bounds/baseline/bounded").asBool();
+             const bool fold = at(d, "bounds/folded/bounded").asBool();
+             const std::uint64_t baseCycles =
+                 countAt(d, "bounds/baseline/cycles");
+             const std::uint64_t foldCycles =
+                 countAt(d, "bounds/folded/cycles");
+             return at(d, "soundness/baseline_sound").asBool() ==
+                        (base && baseCycles >=
+                                     countAt(d, "measured/baseline_cycles")) &&
+                    at(d, "soundness/folded_sound").asBool() ==
+                        (fold && foldCycles >=
+                                     countAt(d, "measured/folded_cycles")) &&
+                    at(d, "soundness/folded_tighter").asBool() ==
+                        (base && fold && foldCycles < baseCycles);
+         }},
+        // LoopBound::bounded(): some source supplied the bound.
+        {"loops[].bounded == (loops[].source != \"none\")",
+         [](const JsonValue& d) {
+             for (const JsonValue& loop : itemsAt(d, "loops"))
+                 if (at(loop, "bounded").asBool() ==
+                     (at(loop, "source").asString() ==
+                      boundSourceName(BoundSource::kNone)))
+                     return false;
+             return true;
+         }},
+        {"summary counts == the loop sources and branch records",
+         [](const JsonValue& d) {
+             const JsonArray& loops = itemsAt(d, "loops");
+             const JsonArray& branches = itemsAt(d, "branches");
+             const auto sourced = [&](BoundSource source) {
+                 return countLabel(loops, "source", boundSourceName(source));
+             };
+             return countAt(d, "summary/loops") == loops.size() &&
+                    countAt(d, "summary/loops_annotated") ==
+                        sourced(BoundSource::kAnnotation) &&
+                    countAt(d, "summary/loops_inferred") ==
+                        sourced(BoundSource::kInferred) &&
+                    countAt(d, "summary/loops_profiled") ==
+                        sourced(BoundSource::kProfile) &&
+                    countAt(d, "summary/loops_unbounded") ==
+                        sourced(BoundSource::kNone) &&
+                    countAt(d, "summary/branches") == branches.size() &&
+                    countAt(d, "summary/folded_branches") ==
+                        static_cast<std::uint64_t>(std::count_if(
+                            branches.begin(), branches.end(),
+                            [](const JsonValue& b) {
+                                return at(b, "folded").asBool();
+                            }));
+         }},
+        {"branches[].total_cost non-increasing",
+         [](const JsonValue& d) {
+             const JsonArray& branches = itemsAt(d, "branches");
+             for (std::size_t i = 1; i < branches.size(); ++i)
+                 if (countAt(branches[i], "total_cost") >
+                     countAt(branches[i - 1], "total_cost"))
+                     return false;
+             return true;
+         }},
+    }};
+
 ReportValidation validateWcetReportJson(const JsonValue& doc) {
-    ReportValidation out;
-    const auto fail = [&out](std::string message) {
-        out.errors.push_back(std::move(message));
-    };
-    if (!doc.isObject()) {
-        fail("wcet_report: not a JSON object");
-        return out;
-    }
-    const auto member = [&](const JsonValue& obj, const char* key,
-                            const char* context) -> const JsonValue* {
-        const JsonValue* v = obj.find(key);
-        if (v == nullptr)
-            fail(std::string(context) + ": missing required member '" + key +
-                 "'");
-        return v;
-    };
-
-    if (const JsonValue* schema = member(doc, "schema", "wcet_report"))
-        if (!schema->isString() || schema->asString() != kWcetReportSchema)
-            fail(std::string("wcet_report: schema is not '") +
-                 kWcetReportSchema + "'");
-    if (const JsonValue* version = member(doc, "version", "wcet_report"))
-        if (!version->isNumber() || version->asUint() != kReportSchemaVersion)
-            fail("wcet_report: unsupported schema version");
-
-    if (const JsonValue* meta = member(doc, "meta", "wcet_report")) {
-        if (!meta->isObject()) {
-            fail("wcet_report: meta is not an object");
-        } else {
-            const JsonValue* bench = meta->find("benchmark");
-            if (bench == nullptr || !bench->isString())
-                fail("wcet_report: meta.benchmark missing or not a string");
-            const JsonValue* threshold = meta->find("threshold");
-            if (threshold == nullptr || !threshold->isNumber() ||
-                threshold->asUint() < 2 || threshold->asUint() > 4)
-                fail("wcet_report: meta.threshold missing or not 2..4");
-            const JsonValue* scheduled = meta->find("scheduled");
-            if (scheduled == nullptr || !scheduled->isBool())
-                fail("wcet_report: meta.scheduled missing or not a bool");
-            for (const char* key : {"seed", "samples"}) {
-                const JsonValue* v = meta->find(key);
-                if (v == nullptr || !v->isNumber())
-                    fail(std::string("wcet_report: meta.") + key +
-                         " missing or not a number");
-            }
-        }
-    }
-
-    if (const JsonValue* cost = member(doc, "cost_model", "wcet_report")) {
-        if (!cost->isObject()) {
-            fail("wcet_report: cost_model is not an object");
-        } else {
-            for (const char* key :
-                 {"mul_stall", "div_stall", "mispredict_penalty",
-                  "icache_miss_penalty", "dcache_miss_penalty",
-                  "icache_line_bytes", "pipeline_fill_cycles"}) {
-                const JsonValue* v = cost->find(key);
-                if (v == nullptr || !v->isNumber())
-                    fail(std::string("wcet_report: cost_model.") + key +
-                         " missing or not a number");
-            }
-        }
-    }
-
-    std::uint64_t baselineBounded = 0, foldedBounded = 0;
-    std::uint64_t baselineCycles = 0, foldedCycles = 0;
-    if (const JsonValue* bounds = member(doc, "bounds", "wcet_report")) {
-        if (!bounds->isObject()) {
-            fail("wcet_report: bounds is not an object");
-        } else {
-            for (const char* which : {"baseline", "folded"}) {
-                const JsonValue* b = bounds->find(which);
-                if (b == nullptr || !b->isObject()) {
-                    fail(std::string("wcet_report: bounds.") + which +
-                         " missing or not an object");
-                    continue;
-                }
-                const JsonValue* bounded = b->find("bounded");
-                if (bounded == nullptr || !bounded->isBool())
-                    fail(std::string("wcet_report: bounds.") + which +
-                         ".bounded missing or not a bool");
-                const JsonValue* cycles = b->find("cycles");
-                if (cycles == nullptr || !cycles->isNumber())
-                    fail(std::string("wcet_report: bounds.") + which +
-                         ".cycles missing or not a number");
-                const JsonValue* reason = b->find("reason");
-                if (reason == nullptr || !reason->isString())
-                    fail(std::string("wcet_report: bounds.") + which +
-                         ".reason missing or not a string");
-                if (bounded != nullptr && bounded->isBool() &&
-                    cycles != nullptr && cycles->isNumber()) {
-                    if (std::string(which) == "baseline") {
-                        baselineBounded = bounded->asBool() ? 1 : 0;
-                        baselineCycles = cycles->asUint();
-                    } else {
-                        foldedBounded = bounded->asBool() ? 1 : 0;
-                        foldedCycles = cycles->asUint();
-                    }
-                }
-            }
-        }
-    }
-
-    std::uint64_t measuredBaseline = 0, measuredFolded = 0;
-    bool haveMeasured = false;
-    if (const JsonValue* measured = member(doc, "measured", "wcet_report")) {
-        if (!measured->isObject()) {
-            fail("wcet_report: measured is not an object");
-        } else {
-            const JsonValue* b = measured->find("baseline_cycles");
-            const JsonValue* f = measured->find("folded_cycles");
-            if (b == nullptr || !b->isNumber())
-                fail("wcet_report: measured.baseline_cycles missing or not a "
-                     "number");
-            if (f == nullptr || !f->isNumber())
-                fail("wcet_report: measured.folded_cycles missing or not a "
-                     "number");
-            if (b != nullptr && b->isNumber() && f != nullptr &&
-                f->isNumber()) {
-                measuredBaseline = b->asUint();
-                measuredFolded = f->asUint();
-                haveMeasured = true;
-            }
-        }
-    }
-
-    if (const JsonValue* sound = member(doc, "soundness", "wcet_report")) {
-        if (!sound->isObject()) {
-            fail("wcet_report: soundness is not an object");
-        } else {
-            for (const char* key :
-                 {"baseline_sound", "folded_sound", "folded_tighter"}) {
-                const JsonValue* v = sound->find(key);
-                if (v == nullptr || !v->isBool())
-                    fail(std::string("wcet_report: soundness.") + key +
-                         " missing or not a bool");
-            }
-            // Cross-field consistency: the booleans must restate the numbers.
-            if (haveMeasured) {
-                const JsonValue* bs = sound->find("baseline_sound");
-                if (bs != nullptr && bs->isBool() &&
-                    bs->asBool() != (baselineBounded != 0 &&
-                                     baselineCycles >= measuredBaseline))
-                    fail("wcet_report: soundness.baseline_sound contradicts "
-                         "bounds/measured");
-                const JsonValue* fs = sound->find("folded_sound");
-                if (fs != nullptr && fs->isBool() &&
-                    fs->asBool() != (foldedBounded != 0 &&
-                                     foldedCycles >= measuredFolded))
-                    fail("wcet_report: soundness.folded_sound contradicts "
-                         "bounds/measured");
-                const JsonValue* ft = sound->find("folded_tighter");
-                if (ft != nullptr && ft->isBool() &&
-                    ft->asBool() != (baselineBounded != 0 &&
-                                     foldedBounded != 0 &&
-                                     foldedCycles < baselineCycles))
-                    fail("wcet_report: soundness.folded_tighter contradicts "
-                         "the bounds");
-            }
-        }
-    }
-
-    std::size_t loopCount = 0;
-    std::uint64_t unbounded = 0;
-    if (const JsonValue* loops = member(doc, "loops", "wcet_report")) {
-        if (!loops->isArray()) {
-            fail("wcet_report: loops is not an array");
-        } else {
-            loopCount = loops->asArray().size();
-            std::size_t index = 0;
-            for (const JsonValue& record : loops->asArray()) {
-                const std::string context =
-                    "wcet_report: loops[" + std::to_string(index) + "]";
-                ++index;
-                if (!record.isObject()) {
-                    fail(context + " is not an object");
-                    continue;
-                }
-                for (const char* key : {"head_pc", "line", "depth", "bound"}) {
-                    const JsonValue* v = record.find(key);
-                    if (v == nullptr || !v->isNumber())
-                        fail(context + "." + key + " missing or not a number");
-                }
-                const JsonValue* source = record.find("source");
-                if (source == nullptr || !source->isString() ||
-                    !knownBoundSourceName(source->asString()))
-                    fail(context + ".source missing or not a known label");
-                const JsonValue* bounded = record.find("bounded");
-                if (bounded == nullptr || !bounded->isBool())
-                    fail(context + ".bounded missing or not a bool");
-                else if (!bounded->asBool())
-                    ++unbounded;
-            }
-        }
-    }
-
-    std::size_t branchCount = 0;
-    std::uint64_t foldedBranches = 0;
-    if (const JsonValue* branches = member(doc, "branches", "wcet_report")) {
-        if (!branches->isArray()) {
-            fail("wcet_report: branches is not an array");
-        } else {
-            branchCount = branches->asArray().size();
-            std::size_t index = 0;
-            std::uint64_t prevCost = 0;
-            for (const JsonValue& record : branches->asArray()) {
-                const std::string context =
-                    "wcet_report: branches[" + std::to_string(index) + "]";
-                if (!record.isObject()) {
-                    fail(context + " is not an object");
-                    ++index;
-                    continue;
-                }
-                for (const char* key :
-                     {"pc", "line", "exec_bound", "unit_cost", "total_cost"}) {
-                    const JsonValue* v = record.find(key);
-                    if (v == nullptr || !v->isNumber())
-                        fail(context + "." + key + " missing or not a number");
-                }
-                const JsonValue* folded = record.find("folded");
-                if (folded == nullptr || !folded->isBool())
-                    fail(context + ".folded missing or not a bool");
-                else if (folded->asBool())
-                    ++foldedBranches;
-                // The ranking invariant: total_cost is non-increasing.
-                const JsonValue* cost = record.find("total_cost");
-                if (cost != nullptr && cost->isNumber()) {
-                    if (index > 0 && cost->asUint() > prevCost)
-                        fail(context +
-                             ".total_cost breaks the descending ranking");
-                    prevCost = cost->asUint();
-                }
-                ++index;
-            }
-        }
-    }
-
-    if (const JsonValue* summary = member(doc, "summary", "wcet_report")) {
-        if (!summary->isObject()) {
-            fail("wcet_report: summary is not an object");
-        } else {
-            for (const char* key :
-                 {"loops", "loops_annotated", "loops_inferred",
-                  "loops_profiled", "loops_unbounded", "branches",
-                  "folded_branches"}) {
-                const JsonValue* v = summary->find(key);
-                if (v == nullptr || !v->isNumber())
-                    fail(std::string("wcet_report: summary.") + key +
-                         " missing or not a number");
-            }
-            const JsonValue* loops = summary->find("loops");
-            if (loops != nullptr && loops->isNumber() &&
-                loops->asUint() != loopCount)
-                fail("wcet_report: summary.loops does not match the loops "
-                     "array");
-            const JsonValue* unboundedJson = summary->find("loops_unbounded");
-            if (unboundedJson != nullptr && unboundedJson->isNumber() &&
-                unboundedJson->asUint() != unbounded)
-                fail("wcet_report: summary.loops_unbounded does not match the "
-                     "loops array");
-            const JsonValue* branches = summary->find("branches");
-            if (branches != nullptr && branches->isNumber() &&
-                branches->asUint() != branchCount)
-                fail("wcet_report: summary.branches does not match the "
-                     "branches array");
-            const JsonValue* folded = summary->find("folded_branches");
-            if (folded != nullptr && folded->isNumber() &&
-                folded->asUint() != foldedBranches)
-                fail("wcet_report: summary.folded_branches does not match the "
-                     "branches array");
-        }
-    }
-    return out;
+    return validate(doc, kWcetReportSpec);
 }
 
 }  // namespace asbr

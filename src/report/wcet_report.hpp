@@ -43,7 +43,8 @@ struct WcetReportMeta {
     const std::set<std::uint32_t>& foldedPcs,
     std::uint64_t measuredBaselineCycles, std::uint64_t measuredFoldedCycles);
 
-/// Schema validation; shares ReportValidation with the other report kinds.
+/// The schema's field table (docs/metrics.md) and its validator.
+extern const SchemaSpec kWcetReportSpec;
 [[nodiscard]] ReportValidation validateWcetReportJson(const JsonValue& doc);
 
 }  // namespace asbr

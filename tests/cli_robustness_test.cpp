@@ -100,6 +100,39 @@ TEST(CliRobustness, StatsValidateWrongSchema) {
                          "asbr-stats validate");
 }
 
+/// A member with an out-of-range value must come back as a schema error
+/// naming that member, never as an internal assertion.
+void expectSchemaError(const std::string& name, const std::string& doc,
+                       const std::string& field) {
+    const RunResult r =
+        runTool("asbr-stats", "validate " + writeTemp(name, doc));
+    expectCleanRejection(r, "asbr-stats validate");
+    EXPECT_NE(r.output.find(field), r.output.npos) << r.output;
+    EXPECT_EQ(r.output.find("ASBR_ENSURE"), r.output.npos) << r.output;
+}
+
+TEST(CliRobustness, StatsValidateNegativeSamplingMeasure) {
+    expectSchemaError(
+        "neg_measure.json",
+        R"({"schema":"asbr.sampling_report","version":1,)"
+        R"("sampling":{"warmup":0,"measure":-5,"skip":0}})",
+        "sampling/measure");
+}
+
+TEST(CliRobustness, StatsValidateFractionalVersion) {
+    expectSchemaError("frac_version.json",
+                      R"({"schema":"asbr.sim_report","version":1.5})",
+                      "version");
+}
+
+TEST(CliRobustness, StatsValidateNegativeWcetThreshold) {
+    expectSchemaError(
+        "neg_threshold.json",
+        R"({"schema":"asbr.wcet_report","version":1,"meta":{"benchmark":"x",)"
+        R"("threshold":-3,"scheduled":true,"seed":0,"samples":0}})",
+        "meta/threshold");
+}
+
 TEST(CliRobustness, StatsRunUnknownBench) {
     expectCleanRejection(
         runTool("asbr-stats", "run --bench=quake3 --predictor=bimodal"),

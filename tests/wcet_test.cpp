@@ -22,6 +22,7 @@
 #include "mem/memory.hpp"
 #include "profile/selection.hpp"
 #include "program_gen.hpp"
+#include "report/wcet_report.hpp"
 #include "sim/pipeline.hpp"
 #include "workloads/workloads.hpp"
 
@@ -321,6 +322,55 @@ TEST(WcetSoundnessTest, BoundCoversMeasuredCyclesOnRandomPrograms) {
     // The generator emits countdown loops on purpose — inference must carry
     // the clear majority of the seeds without dynamic help.
     EXPECT_GE(inferredOnly, 15);
+}
+
+// ------------------------------------------------------------ wcet report ----
+
+/// A valid report over the countdown loop: one inferred loop, no folds.
+JsonValue countdownReport() {
+    const Program p = assemble(countdownLoop());
+    Timing t(p);
+    const WcetResult baseline = t.engine.compute({});
+    WcetReportMeta meta;
+    meta.benchmark = "countdown";
+    return wcetReportJson(meta, t.engine, baseline, baseline, {}, 0, 0);
+}
+
+JsonValue& member(JsonValue& object, const std::string& key) {
+    for (auto& [k, v] : object.asObject())
+        if (k == key) return v;
+    ADD_FAILURE() << "no member " << key;
+    return object;
+}
+
+/// True when validation fails on exactly the named invariant.
+bool violates(const JsonValue& doc, const std::string& rule) {
+    const ReportValidation v = validateWcetReportJson(doc);
+    return v.errors.size() == 1 &&
+           v.errors.front().find(rule) != std::string::npos;
+}
+
+TEST(WcetReportTest, SummaryCountsMustMatchLoopSources) {
+    JsonValue doc = countdownReport();
+    ASSERT_TRUE(validateWcetReportJson(doc).ok());
+    ASSERT_EQ(member(member(doc, "loops").asArray()[0], "source").asString(),
+              "inferred");
+    // Same loop total and the same bounded/unbounded split, but the loop is
+    // claimed as annotated.
+    JsonValue& summary = member(doc, "summary");
+    member(summary, "loops_inferred") = JsonValue(std::uint64_t{0});
+    member(summary, "loops_annotated") = JsonValue(std::uint64_t{1});
+    EXPECT_TRUE(violates(doc, "loop sources"));
+}
+
+TEST(WcetReportTest, LoopIsBoundedExactlyWhenSourced) {
+    JsonValue doc = countdownReport();
+    ASSERT_TRUE(validateWcetReportJson(doc).ok());
+    // Unbounded per the flag and the summary, yet its bound has a source.
+    member(member(doc, "loops").asArray()[0], "bounded") = JsonValue(false);
+    member(member(doc, "summary"), "loops_unbounded") =
+        JsonValue(std::uint64_t{1});
+    EXPECT_TRUE(violates(doc, "loops[].bounded"));
 }
 
 }  // namespace

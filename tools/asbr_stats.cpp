@@ -29,12 +29,8 @@
 #include "bp/tage.hpp"
 #include "bench_util.hpp"
 #include "profile/selection.hpp"
-#include "report/analysis_report.hpp"
-#include "report/ipa_report.hpp"
-#include "report/fault_report.hpp"
 #include "report/sampling_report.hpp"
-#include "report/sweep_report.hpp"
-#include "report/wcet_report.hpp"
+#include "report/schema.hpp"
 #include "sim/sampling.hpp"
 #include "util/trace.hpp"
 
@@ -450,40 +446,18 @@ int cmdValidate(const char* path) {
         std::fprintf(stderr, "%s: missing string member 'schema'\n", path);
         return 1;
     }
-    ReportValidation validation;
-    // The sweep/fault schemas carry their own version constants (bumped to 2
-    // for the durable-execution failed_jobs sections); everything else is
-    // still at the shared kReportSchemaVersion.
-    std::uint64_t version = kReportSchemaVersion;
-    if (schema->asString() == kSimReportSchema) {
-        validation = validateSimReportJson(*parsed.value);
-    } else if (schema->asString() == kBenchReportSchema) {
-        validation = validateBenchReportJson(*parsed.value);
-    } else if (schema->asString() == kFaultReportSchema) {
-        validation = validateFaultReportJson(*parsed.value);
-        version = kFaultReportVersion;
-    } else if (schema->asString() == kAnalysisReportSchema) {
-        validation = validateAnalysisReportJson(*parsed.value);
-    } else if (schema->asString() == kIpaReportSchema) {
-        validation = validateIpaReportJson(*parsed.value);
-    } else if (schema->asString() == kSweepReportSchema) {
-        validation = validateSweepReportJson(*parsed.value);
-        version = kSweepReportVersion;
-    } else if (schema->asString() == kWcetReportSchema) {
-        validation = validateWcetReportJson(*parsed.value);
-    } else if (schema->asString() == kSamplingReportSchema) {
-        validation = validateSamplingReportJson(*parsed.value);
-    } else {
+    const SchemaSpec* spec = findSchema(schema->asString());
+    if (spec == nullptr) {
         std::fprintf(stderr, "%s: unknown schema '%s'\n", path,
                      schema->asString().c_str());
         return 1;
     }
+    const ReportValidation validation = validate(*parsed.value, *spec);
     for (const std::string& error : validation.errors)
         std::fprintf(stderr, "%s: %s\n", path, error.c_str());
     if (!validation.ok()) return 1;
-    std::printf("%s: valid %s v%llu document\n", path,
-                schema->asString().c_str(),
-                static_cast<unsigned long long>(version));
+    std::printf("%s: valid %s v%llu document\n", path, spec->id.c_str(),
+                static_cast<unsigned long long>(spec->version));
     return 0;
 }
 

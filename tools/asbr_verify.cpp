@@ -158,6 +158,31 @@ void dumpCfgTo(const std::string& path,
     std::fprintf(stderr, "wrote CFG dump to %s\n", path.c_str());
 }
 
+/// Self-check a report against its schema's field table before anything
+/// touches disk, then write it to `outPath` ("-" = stdout).  Returns false,
+/// after saying why, when the document is invalid or cannot be written.
+bool writeReport(const char* sub, const JsonValue& doc, const SchemaSpec& spec,
+                 const std::string& outPath) {
+    const ReportValidation validation = validate(doc, spec);
+    for (const std::string& error : validation.errors)
+        std::fprintf(stderr, "schema error: %s\n", error.c_str());
+    if (!validation.ok()) return false;
+    const std::string text = doc.dump(2) + "\n";
+    if (outPath == "-") {
+        std::fputs(text.c_str(), stdout);
+        return true;
+    }
+    std::ofstream out(outPath);
+    if (!out) {
+        std::fprintf(stderr, "asbr-verify %s: cannot open '%s' for writing\n",
+                     sub, outPath.c_str());
+        return false;
+    }
+    out << text;
+    std::fprintf(stderr, "wrote %s to %s\n", spec.id.c_str(), outPath.c_str());
+    return true;
+}
+
 /// Print the value-analysis lints; returns the number of *error* lints
 /// (see isErrorLint — refinement wins and the SSA diagnostics are
 /// informational).  Lints are diagnostics, so they go to stderr —
@@ -243,31 +268,9 @@ int cmdAnalyze(int argc, char** argv) {
         config.threshold = threshold;
         const analysis::FoldLegalityVerifier verifier(program);
 
-        const JsonValue doc = analysisReportJson(meta, verifier, config);
-        const std::string text = doc.dump(2) + "\n";
-
-        // Self-check before anything touches disk: the document must pass
-        // its own schema validator.
-        const ReportValidation validation = validateAnalysisReportJson(doc);
-        for (const std::string& error : validation.errors)
-            std::fprintf(stderr, "schema error: %s\n", error.c_str());
-        if (!validation.ok()) return 1;
-
-        if (outPath == "-") {
-            std::fputs(text.c_str(), stdout);
-        } else {
-            std::ofstream out(outPath);
-            if (!out) {
-                std::fprintf(stderr,
-                             "asbr-verify analyze: cannot open '%s' for "
-                             "writing\n",
-                             outPath.c_str());
-                return 1;
-            }
-            out << text;
-            std::fprintf(stderr, "wrote analysis report to %s\n",
-                         outPath.c_str());
-        }
+        if (!writeReport("analyze", analysisReportJson(meta, verifier, config),
+                         kAnalysisReportSpec, outPath))
+            return 1;
 
         if (!dumpCfgPath.empty()) dumpCfgTo(dumpCfgPath, verifier, config);
         const std::size_t errorLints = printLints(verifier, config, quiet);
@@ -475,29 +478,12 @@ int cmdWcet(int argc, char** argv) {
             measuredFolded = measure(unit.get());
         }
 
-        const JsonValue doc =
-            wcetReportJson(meta, engine, baseline, folded, foldedPcs,
-                           measuredBaseline, measuredFolded);
-        const std::string text = doc.dump(2) + "\n";
-        const ReportValidation validation = validateWcetReportJson(doc);
-        for (const std::string& error : validation.errors)
-            std::fprintf(stderr, "schema error: %s\n", error.c_str());
-        if (!validation.ok()) return 1;
-
-        if (outPath == "-") {
-            std::fputs(text.c_str(), stdout);
-        } else {
-            std::ofstream out(outPath);
-            if (!out) {
-                std::fprintf(stderr,
-                             "asbr-verify wcet: cannot open '%s' for "
-                             "writing\n",
-                             outPath.c_str());
-                return 1;
-            }
-            out << text;
-            std::fprintf(stderr, "wrote wcet report to %s\n", outPath.c_str());
-        }
+        if (!writeReport("wcet",
+                         wcetReportJson(meta, engine, baseline, folded,
+                                        foldedPcs, measuredBaseline,
+                                        measuredFolded),
+                         kWcetReportSpec, outPath))
+            return 1;
 
         std::size_t unbounded = 0;
         for (const auto& loop : engine.loops())
@@ -622,28 +608,9 @@ int cmdIpa(int argc, char** argv) {
         loadForSubcommand("ipa", path, benchToken, schedule, meta.benchmark);
     try {
         const analysis::FoldLegalityVerifier verifier(program);
-        const JsonValue doc = ipaReportJson(meta, verifier);
-        const std::string text = doc.dump(2) + "\n";
-
-        // Self-check before anything touches disk.
-        const ReportValidation validation = validateIpaReportJson(doc);
-        for (const std::string& error : validation.errors)
-            std::fprintf(stderr, "schema error: %s\n", error.c_str());
-        if (!validation.ok()) return 1;
-
-        if (outPath == "-") {
-            std::fputs(text.c_str(), stdout);
-        } else {
-            std::ofstream out(outPath);
-            if (!out) {
-                std::fprintf(stderr,
-                             "asbr-verify ipa: cannot open '%s' for writing\n",
-                             outPath.c_str());
-                return 1;
-            }
-            out << text;
-            std::fprintf(stderr, "wrote ipa report to %s\n", outPath.c_str());
-        }
+        if (!writeReport("ipa", ipaReportJson(meta, verifier), kIpaReportSpec,
+                         outPath))
+            return 1;
         if (!quiet) {
             const analysis::ipa::IpaAnalysis& ipa = verifier.ipa();
             std::fprintf(
