@@ -126,6 +126,22 @@ for bench in adpcm-enc adpcm-dec g721-enc g721-dec g711-enc g711-dec; do
     echo "ci/bench-report.sh: $bench sampled CPI within bound, >=${MIPS_FLOOR} MIPS"
 done
 
+# A sampled --asbr run at G.721 buffer capacity: ~503M instructions on the
+# default seed, beyond the ISS's 500M-instruction default, so it fails
+# unless the profiling passes that feed selection accept every program the
+# job's own run does (they are bounded by PipelineConfig::maxCycles).  About
+# 1.5G instructions of ISS work, hence a CI step and not a ctest.
+report="$tmpdir/sampling_g721_capacity.json"
+if ! "$STATS" run --bench=g721-enc --g721=131072 --asbr \
+        --sample=2000:10000:200000 --json="$report" \
+        > "$tmpdir/capacity_log" 2>&1; then
+    echo "FAIL: sampled --asbr run of g721-enc at buffer capacity failed:" >&2
+    tail -5 "$tmpdir/capacity_log" >&2
+    exit 1
+fi
+"$STATS" validate "$report" > /dev/null
+echo "ci/bench-report.sh: g721-enc at buffer capacity profiles and samples"
+
 "$SWEEP" "${SWEEP_ARGS[@]}" --json="$tmpdir/sweep_serial.json" > /dev/null
 "$SWEEP" "${SWEEP_ARGS[@]}" --threads="$THREADS" \
     --json="$tmpdir/sweep_parallel.json" > /dev/null

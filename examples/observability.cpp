@@ -46,8 +46,7 @@ odd:    addiu s1, s1, -1
     Memory memory;
     memory.loadProgram(program);
 
-    // Attach a tracer (only has an effect in ASBR_TRACING builds — the
-    // default).  A null `config.tracer` means "tracing off" at runtime.
+    // Attach a tracer.  A null `config.tracer` means "tracing off".
     Tracer tracer;
     PipelineConfig config;
     config.tracer = &tracer;

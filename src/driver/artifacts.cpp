@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "asbr/extract.hpp"
-#include "bp/bimodal.hpp"
 #include "driver/names.hpp"
 #include "util/ensure.hpp"
 #include "workloads/input_gen.hpp"
@@ -74,12 +73,6 @@ SampledResult runSampledPipeline(const Prepared& prepared,
     return result;
 }
 
-std::map<std::uint32_t, double> accuracyMap(const PipelineStats& stats) {
-    std::map<std::uint32_t, double> out;
-    for (const auto& [pc, site] : stats.branchSites) out[pc] = site.accuracy();
-    return out;
-}
-
 WorkloadArtifacts::WorkloadArtifacts(const WorkloadKey& key)
     : key_(key),
       prepared_(prepare(key.workload, key.scheduled, key.seed, key.samples)) {}
@@ -87,51 +80,27 @@ WorkloadArtifacts::WorkloadArtifacts(const WorkloadKey& key)
 const ProgramProfile& WorkloadArtifacts::profile() const {
     std::call_once(profileOnce_, [this] {
         Memory memory = makeMemory(prepared_);
-        profile_ = profileProgram(prepared_.program, memory);
+        profile_ = profileProgram(prepared_.program, memory,
+                                  PipelineConfig{}.maxCycles);
     });
     return *profile_;
 }
 
-const std::map<std::uint32_t, double>& WorkloadArtifacts::baselineAccuracy()
-    const {
-    std::call_once(accuracyOnce_, [this] {
-        auto baseline = makeBimodal2048();
-        const PipelineResult base = runPipeline(prepared_, *baseline);
-        accuracy_ = accuracyMap(base.stats);
-    });
-    return accuracy_;
+const PredictionProfile& WorkloadArtifacts::baselineAccuracy() const {
+    // "bimodal" is bimodal-2048 with a 2048-entry BTB.
+    return *predictionProfile("bimodal");
 }
 
 std::shared_ptr<const PredictionProfile> WorkloadArtifacts::predictionProfile(
     const std::string& token) const {
-    std::promise<std::shared_ptr<const PredictionProfile>> promise;
-    std::shared_future<std::shared_ptr<const PredictionProfile>> slot;
-    bool compute = false;
-    {
-        std::lock_guard<std::mutex> lock(predictionsMutex_);
-        const auto it = predictions_.find(token);
-        if (it != predictions_.end()) {
-            slot = it->second;
-        } else {
-            slot = promise.get_future().share();
-            predictions_.emplace(token, slot);
-            compute = true;
-        }
-    }
-    if (compute) {
-        try {
-            std::string error;
-            auto predictor = makePredictorByToken(token, &error);
-            ASBR_ENSURE(predictor != nullptr, error);
-            Memory memory = makeMemory(prepared_);
-            auto profile = std::make_shared<PredictionProfile>(
-                profilePredictions(prepared_.program, memory, *predictor));
-            promise.set_value(std::move(profile));
-        } catch (...) {
-            promise.set_exception(std::current_exception());
-        }
-    }
-    return slot.get();
+    return predictions_.get(token, [&] {
+        std::string error;
+        auto predictor = makePredictorByToken(token, &error);
+        ASBR_ENSURE(predictor != nullptr, error);
+        Memory memory = makeMemory(prepared_);
+        return std::make_shared<const PredictionProfile>(profilePredictions(
+            prepared_.program, memory, *predictor, PipelineConfig{}.maxCycles));
+    });
 }
 
 SelectionArtifacts::SelectionArtifacts(
@@ -143,21 +112,22 @@ SelectionArtifacts::SelectionArtifacts(
     ASBR_ENSURE(!key_.predictorAware || !key_.predictorToken.empty(),
                 "selection: predictor-aware needs a predictor token");
     const ProgramProfile& profile = workload_->profile();
-    const std::map<std::uint32_t, double> noAccuracy;
-    const std::map<std::uint32_t, double>& accuracy =
-        key_.useAccuracy ? workload_->baselineAccuracy() : noAccuracy;
+    // The baseline-era comparison of predictor-aware selection needs the
+    // bimodal reference even when useAccuracy is off — reclaimed slots are
+    // measured against the policy the paper's figures used.
+    const std::map<std::uint32_t, double> accuracy =
+        key_.useAccuracy || key_.predictorAware
+            ? workload_->baselineAccuracy().accuracyMap()
+            : std::map<std::uint32_t, double>{};
     SelectionConfig config;
     config.bitCapacity = key_.bitEntries;
     config.threshold = thresholdFor(key_.updateStage);
     const Program& program = workload_->prepared().program;
     if (key_.predictorAware) {
-        // The baseline-era comparison needs the bimodal reference even when
-        // useAccuracy is off — reclaimed slots are measured against the
-        // policy the paper's figures used.
         PredictorAwareSelection aware = selectBranchesPredictorAware(
             program, profile,
-            *workload_->predictionProfile(key_.predictorToken),
-            workload_->baselineAccuracy(), config);
+            *workload_->predictionProfile(key_.predictorToken), accuracy,
+            config);
         awareMetrics_.countSelection(aware);
         candidates_ = std::move(aware.folded);
         hardness_ = std::move(aware.hardness);
@@ -190,48 +160,16 @@ std::unique_ptr<AsbrUnit> SelectionArtifacts::makeUnit(
     return unit;
 }
 
-template <typename Key, typename Value, typename Make>
-std::shared_ptr<const Value> ArtifactCache::getOrCompute(
-    std::map<Key, std::shared_future<std::shared_ptr<const Value>>>& slots,
-    const Key& key, std::atomic<std::uint64_t>& computes, Make make) {
-    std::promise<std::shared_ptr<const Value>> promise;
-    std::shared_future<std::shared_ptr<const Value>> future;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = slots.find(key);
-        if (it == slots.end()) {
-            future = promise.get_future().share();
-            slots.emplace(key, future);
-            owner = true;
-        } else {
-            future = it->second;
-            hits_.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-    if (owner) {
-        // Compute outside the lock: concurrent requests for *other* keys
-        // proceed; concurrent requests for *this* key block on the future.
-        try {
-            promise.set_value(make());
-            computes.fetch_add(1, std::memory_order_relaxed);
-        } catch (...) {
-            promise.set_exception(std::current_exception());
-        }
-    }
-    return future.get();
-}
-
 std::shared_ptr<const WorkloadArtifacts> ArtifactCache::workload(
     const WorkloadKey& key) {
-    return getOrCompute(workloads_, key, workloadComputes_, [&key] {
+    return workloads_.get(key, [&key] {
         return std::make_shared<const WorkloadArtifacts>(key);
     });
 }
 
 std::shared_ptr<const SelectionArtifacts> ArtifactCache::selection(
     const SelectionKey& key) {
-    return getOrCompute(selections_, key, selectionComputes_, [this, &key] {
+    return selections_.get(key, [this, &key] {
         return std::make_shared<const SelectionArtifacts>(workload(key.workload),
                                                           key);
     });
@@ -239,10 +177,9 @@ std::shared_ptr<const SelectionArtifacts> ArtifactCache::selection(
 
 ArtifactCache::Stats ArtifactCache::stats() const {
     Stats stats;
-    stats.workloadComputes = workloadComputes_.load(std::memory_order_relaxed);
-    stats.selectionComputes =
-        selectionComputes_.load(std::memory_order_relaxed);
-    stats.hits = hits_.load(std::memory_order_relaxed);
+    stats.workloadComputes = workloads_.computes();
+    stats.selectionComputes = selections_.computes();
+    stats.hits = workloads_.hits() + selections_.hits();
     return stats;
 }
 

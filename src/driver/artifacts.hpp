@@ -7,16 +7,14 @@
 // artifact exactly once per key and shares the result read-only:
 //
 //   WorkloadKey  -> WorkloadArtifacts   program + input (+ lazy profile and
-//                                       bimodal-2048 baseline accuracy)
+//                                       per-token prediction profiles)
 //   SelectionKey -> SelectionArtifacts  selected candidates + extracted
 //                                       BIT/static-fold entries
 //
 // Artifacts are immutable after construction; anything mutable a run needs
 // (Memory image, predictor, AsbrUnit) is built *fresh* from them per run, so
-// concurrent engine workers never share hot-path state.  ArtifactCache is
-// thread-safe: a key's first requester computes, concurrent requesters for
-// the same key block on a shared_future, and requesters of *different* keys
-// never serialize against the computation.
+// concurrent engine workers never share hot-path state.  Every keyed store
+// is a OncePerKey, so all of them are thread-safe the same way.
 #pragma once
 
 #include <atomic>
@@ -72,10 +70,60 @@ struct Prepared {
     FetchCustomizer* customizer, const SamplingConfig& sampling,
     const PipelineConfig& config = {});
 
-/// Per-site accuracy map from a pipeline run (reference-predictor input to
-/// branch selection).
-[[nodiscard]] std::map<std::uint32_t, double> accuracyMap(
-    const PipelineStats& stats);
+/// Thread-safe once-per-key store of immutable values: a key's first
+/// requester computes, concurrent requesters for the same key block on a
+/// shared_future, and requesters of *different* keys never serialize against
+/// the computation.  A computation that throws is stored too, so every
+/// requester of that key rethrows it.
+template <typename Key, typename Value>
+class OncePerKey {
+public:
+    /// The value for `key`, computing it with `make()` on first request.
+    template <typename Make>
+    [[nodiscard]] std::shared_ptr<const Value> get(const Key& key, Make make) {
+        std::promise<std::shared_ptr<const Value>> promise;
+        Slot slot;
+        bool owner = false;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            const auto [it, inserted] = slots_.try_emplace(key);
+            if (inserted) {
+                it->second = promise.get_future().share();
+                owner = true;
+            } else {
+                hits_.fetch_add(1, std::memory_order_relaxed);
+            }
+            slot = it->second;
+        }
+        if (owner) {
+            // Compute outside the lock: concurrent requests for *other* keys
+            // proceed; concurrent requests for *this* key block on the future.
+            try {
+                promise.set_value(make());
+                computes_.fetch_add(1, std::memory_order_relaxed);
+            } catch (...) {
+                promise.set_exception(std::current_exception());
+            }
+        }
+        return slot.get();
+    }
+
+    /// Requests served from an already-inserted entry.
+    [[nodiscard]] std::uint64_t hits() const {
+        return hits_.load(std::memory_order_relaxed);
+    }
+    /// Values computed without throwing.
+    [[nodiscard]] std::uint64_t computes() const {
+        return computes_.load(std::memory_order_relaxed);
+    }
+
+private:
+    using Slot = std::shared_future<std::shared_ptr<const Value>>;
+    std::mutex mutex_;
+    std::map<Key, Slot> slots_;
+    std::atomic<std::uint64_t> hits_{0};
+    std::atomic<std::uint64_t> computes_{0};
+};
 
 /// Everything that determines a workload's program + input, byte for byte.
 struct WorkloadKey {
@@ -92,8 +140,9 @@ struct SelectionKey {
     WorkloadKey workload;
     std::size_t bitEntries = 16;  ///< resolved BIT capacity (never 0)
     ValueStage updateStage = ValueStage::kMemEnd;
-    /// Use the bimodal-2048 baseline run as the per-site accuracy reference
-    /// (every figure regenerator does; ext_predictors deliberately does not).
+    /// Use the bimodal-2048 reference predictor's per-site accuracy
+    /// (WorkloadArtifacts::baselineAccuracy) to rank candidates (every
+    /// figure regenerator does; ext_predictors deliberately does not).
     bool useAccuracy = true;
     bool staticFolds = false;  ///< two-class selection + static fold table
     /// Predictor-aware selection: fold only what `predictorToken` loses
@@ -106,9 +155,12 @@ struct SelectionKey {
     auto operator<=>(const SelectionKey&) const = default;
 };
 
-/// Immutable loaded workload.  The profile and the bimodal-2048 baseline
-/// accuracy are computed lazily (non-ASBR jobs never pay for them) but still
-/// exactly once, under a once_flag, so concurrent callers are safe.
+/// Immutable loaded workload.  The branch profile and the prediction
+/// profiles are computed lazily (non-ASBR jobs never pay for them) but still
+/// exactly once, so concurrent callers are safe.  Both are functional (ISS)
+/// passes bounded at PipelineConfig::maxCycles instructions: the pipeline
+/// commits at most one instruction per cycle, so every program a job's own
+/// run accepts profiles within the bound.
 class WorkloadArtifacts {
 public:
     explicit WorkloadArtifacts(const WorkloadKey& key);
@@ -119,16 +171,15 @@ public:
     /// Functional branch profile (lazy, computed once).
     [[nodiscard]] const ProgramProfile& profile() const;
 
-    /// Per-site accuracy of a fresh bimodal-2048 baseline run (lazy, once) —
-    /// the hardness reference every selection uses.
-    [[nodiscard]] const std::map<std::uint32_t, double>& baselineAccuracy()
-        const;
+    /// The bimodal-2048 reference predictor's per-site record — the
+    /// hardness reference every selection uses (paper §6).  It is the
+    /// "bimodal" entry of predictionProfile(), so it lives as long as this
+    /// object.
+    [[nodiscard]] const PredictionProfile& baselineAccuracy() const;
 
     /// Per-site prediction record of playing the predictor named by a
     /// registry token over this workload's committed branch stream
-    /// (profilePredictions).  Lazy, once per token: concurrent requesters of
-    /// the same token block on a shared_future; different tokens never
-    /// serialize against each other's computation.
+    /// (profilePredictions).  Lazy, once per token.
     [[nodiscard]] std::shared_ptr<const PredictionProfile> predictionProfile(
         const std::string& token) const;
 
@@ -137,12 +188,7 @@ private:
     Prepared prepared_;
     mutable std::once_flag profileOnce_;
     mutable std::optional<ProgramProfile> profile_;
-    mutable std::once_flag accuracyOnce_;
-    mutable std::map<std::uint32_t, double> accuracy_;
-    mutable std::mutex predictionsMutex_;
-    mutable std::map<std::string,
-                     std::shared_future<std::shared_ptr<const PredictionProfile>>>
-        predictions_;
+    mutable OncePerKey<std::string, PredictionProfile> predictions_;
 };
 
 /// Immutable branch selection: candidates plus the extracted table contents,
@@ -210,28 +256,17 @@ public:
     struct Stats {
         std::uint64_t workloadComputes = 0;
         std::uint64_t selectionComputes = 0;
-        /// Requests served from an already-inserted entry.  Deterministic:
-        /// always requests - unique keys, however the races fall.
+        /// Workload and selection requests served from an already-inserted
+        /// entry (prediction-profile tokens are not counted).
+        /// Deterministic: always requests - unique keys, however the races
+        /// fall.
         std::uint64_t hits = 0;
     };
     [[nodiscard]] Stats stats() const;
 
 private:
-    template <typename Key, typename Value, typename Make>
-    std::shared_ptr<const Value> getOrCompute(
-        std::map<Key, std::shared_future<std::shared_ptr<const Value>>>& slots,
-        const Key& key, std::atomic<std::uint64_t>& computes, Make make);
-
-    mutable std::mutex mutex_;
-    std::map<WorkloadKey,
-             std::shared_future<std::shared_ptr<const WorkloadArtifacts>>>
-        workloads_;
-    std::map<SelectionKey,
-             std::shared_future<std::shared_ptr<const SelectionArtifacts>>>
-        selections_;
-    std::atomic<std::uint64_t> workloadComputes_{0};
-    std::atomic<std::uint64_t> selectionComputes_{0};
-    std::atomic<std::uint64_t> hits_{0};
+    OncePerKey<WorkloadKey, WorkloadArtifacts> workloads_;
+    OncePerKey<SelectionKey, SelectionArtifacts> selections_;
 };
 
 }  // namespace asbr::driver

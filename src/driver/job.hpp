@@ -41,7 +41,8 @@ struct SimJob {
     ValueStage updateStage = ValueStage::kMemEnd;
     bool parityProtected = false;
     bool staticFolds = false;     ///< two-class selection + static fold table
-    /// Selection uses the bimodal-2048 baseline run as its per-site accuracy
+    /// Selection uses the bimodal-2048 reference predictor's per-site
+    /// accuracy, replayed over the functional branch stream, as its
     /// reference (every figure regenerator does; the external-predictor
     /// ablation deliberately selects without one).
     bool accuracyRef = true;

@@ -76,7 +76,7 @@ struct PredictionProfile {
                              : static_cast<double>(branches - mispredicts) /
                                    static_cast<double>(branches);
     }
-    /// Per-site accuracy map, same shape the pipeline's accuracyMap yields.
+    /// Per-site accuracy map, the shape branch selection consumes.
     [[nodiscard]] std::map<std::uint32_t, double> accuracyMap() const;
 };
 

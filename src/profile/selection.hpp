@@ -49,9 +49,9 @@ struct Candidate {
 };
 
 /// Score and rank foldable branches.  `accuracyByPc` supplies the reference
-/// predictor's per-site accuracy (from a baseline pipeline run); sites
-/// missing from the map are treated as never-executed-under-prediction and
-/// get accuracy 1 (no benefit).
+/// predictor's per-site accuracy (profilePredictions' replay of the
+/// bimodal-2048 baseline); sites missing from the map are treated as
+/// never-executed-under-prediction and get accuracy 1 (no benefit).
 [[nodiscard]] std::vector<Candidate> selectFoldableBranches(
     const Program& program, const ProgramProfile& profile,
     const std::map<std::uint32_t, double>& accuracyByPc,

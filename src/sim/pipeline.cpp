@@ -88,19 +88,19 @@ constexpr std::uint8_t kLaneMemWb = 3;
 constexpr std::uint8_t kLaneResolve = 4;
 }  // namespace
 
-// Tracing hooks compile to nothing when the build disables ASBR_TRACING, so
-// the simulator hot path carries no tracer reads at all.
-#ifdef ASBR_TRACING
+// Structured-tracing hooks (docs/tracing.md), always compiled in.  With no
+// tracer attached (PipelineConfig::tracer is null, the default) each hook
+// costs one pointer test, and the end-of-cycle latch snapshot in run() one
+// more.  Events carry POD values only and the tracer never feeds back into
+// simulated state, so cycle counts are identical with and without one
+// (metrics_test pins this).  Fault reports quote source lines of this file
+// (a failed ASBR_ENSURE's file:line lands in a fault's `detail`), so edits
+// above the stage code shift the committed fault goldens.
 #define ASBR_TRACE(...)                                                 \
     do {                                                                \
         if (config_.tracer != nullptr)                                  \
             config_.tracer->record(TraceEvent{__VA_ARGS__});            \
     } while (false)
-#else
-#define ASBR_TRACE(...) \
-    do {                \
-    } while (false)
-#endif
 
 PipelineSim::PipelineSim(const Program& program, Memory& memory,
                          BranchPredictor& predictor, const PipelineConfig& config,
@@ -427,10 +427,8 @@ PipelineResult PipelineSim::run(std::uint64_t maxCommits) {
         stageDecode();
         stageFetch();
 
-#ifdef ASBR_TRACING
         if (config_.tracer != nullptr && config_.tracer->wants(stats_.cycles))
             traceLatches();
-#endif
 
         // A spent commit budget halts fetch and drops the not-yet-executed
         // ifId_ instruction (it re-fetches on resume); in-flight EX/MEM/WB

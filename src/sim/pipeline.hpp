@@ -68,8 +68,7 @@ struct PipelineConfig {
     std::uint64_t maxCycles = 4'000'000'000ULL;
     /// Optional per-cycle observer (fault injection).  Non-owning.
     CycleHook* cycleHook = nullptr;
-    /// Optional structured event tracer (docs/tracing.md).  Non-owning; only
-    /// consulted when the build compiles the hooks in (ASBR_TRACING).
+    /// Optional structured event tracer (docs/tracing.md).  Non-owning.
     /// Tracing never changes simulated timing — only host-side cost.
     Tracer* tracer = nullptr;
 };

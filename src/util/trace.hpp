@@ -9,11 +9,9 @@
 // instant events).  One simulated cycle maps to one microsecond of trace
 // time.
 //
-// Cost model: tracing hooks in the simulator are compiled out entirely when
-// the build sets -DASBR_TRACING=OFF (no tracer field reads on the hot
-// path); when compiled in, a null tracer pointer costs one branch per
-// cycle, and a non-null tracer records POD events until `maxEvents` is
-// reached (the run continues untraced past the cap).
+// Cost model: a null tracer pointer costs one branch per cycle, and a
+// non-null tracer records POD events until `maxEvents` is reached (the run
+// continues untraced past the cap).
 #pragma once
 
 #include <cstdint>

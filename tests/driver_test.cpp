@@ -12,6 +12,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "driver/cli.hpp"
@@ -189,6 +190,52 @@ TEST(ArtifactCacheTest, DistinctKeysDoNotShareArtifacts) {
     const ArtifactCache::Stats stats = engine.cacheStats();
     EXPECT_EQ(stats.workloadComputes, 2u);
     EXPECT_EQ(stats.selectionComputes, 3u);
+}
+
+TEST(ArtifactCacheTest, BaselineAccuracyIsTheCachedBimodalProfile) {
+    // Selection's reference is the "bimodal" entry of the per-token
+    // prediction cache: eight threads racing for it under both names all
+    // get the one object.
+    const SimJob job = tinyJob(BenchId::kAdpcmEncode, "bimodal", true);
+    const WorkloadArtifacts workload(
+        {job.workload, job.scheduled, job.seed, job.samples});
+    std::vector<const PredictionProfile*> byName(8);
+    std::vector<const PredictionProfile*> byToken(8);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < byName.size(); ++t)
+        threads.emplace_back([&, t] {
+            if (t % 2 == 0) byName[t] = &workload.baselineAccuracy();
+            byToken[t] = workload.predictionProfile("bimodal").get();
+            if (t % 2 == 1) byName[t] = &workload.baselineAccuracy();
+        });
+    for (std::thread& thread : threads) thread.join();
+    for (std::size_t t = 0; t < byName.size(); ++t) {
+        EXPECT_EQ(byName[t], byName.front());
+        EXPECT_EQ(byToken[t], byName.front());
+    }
+    EXPECT_EQ(byName.front()->predictorToken, "bimodal");
+    EXPECT_GT(byName.front()->branches, 0u);
+}
+
+TEST(ArtifactCacheTest, PredictionTokensAreNotCacheHits) {
+    // mixedBatch plus predictor-aware jobs, one on the "bimodal" token the
+    // selection reference also uses.  Only workload and selection requests
+    // count: 13 workload requests (one per job, one per selection compute)
+    // over 2 keys and 6 selection requests over 5 keys give 11 + 1 hits,
+    // the same as when the reference was a separate pipeline run.
+    std::vector<SimJob> jobs = mixedBatch();
+    for (const char* token : {"bimodal", "tage"}) {
+        SimJob aware = tinyJob(BenchId::kAdpcmEncode, token, true);
+        aware.predictorAware = true;
+        jobs.push_back(aware);
+    }
+    SimEngine engine({.threads = 4});
+    (void)engine.run(jobs);
+    EXPECT_EQ(engine.stats().cacheHits, 12u);
+    MetricRegistry registry;
+    engine.publishMetrics(registry);
+    ASSERT_NE(registry.findCounter("engine.cache_hits"), nullptr);
+    EXPECT_EQ(registry.findCounter("engine.cache_hits")->value(), 12u);
 }
 
 TEST(PoolTest, ParallelForVisitsEveryIndexExactlyOnce) {

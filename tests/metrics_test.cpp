@@ -233,8 +233,6 @@ TEST(MetricPublishTest, ValidityStallCountsLandInRegistry) {
 
 // ---------------------------------------------------------------- trace ----
 
-#ifdef ASBR_TRACING
-
 struct TracedRun {
     Tracer tracer;
     PipelineResult result;
@@ -341,8 +339,6 @@ TEST(TracerTest, TracingDoesNotChangeSimulatedTiming) {
     EXPECT_EQ(cyclesWith(nullptr), cyclesWith(&tracer));
     EXPECT_FALSE(tracer.events().empty());
 }
-
-#endif  // ASBR_TRACING
 
 // ----------------------------------------------------------- sim report ----
 

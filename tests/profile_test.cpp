@@ -1,9 +1,19 @@
 // Tests for the branch profiler and the ASBR selection policy.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <string>
+#include <utility>
+
 #include "asm/assembler.hpp"
+#include "bp/bimodal.hpp"
+#include "driver/artifacts.hpp"
 #include "profile/profiler.hpp"
 #include "profile/selection.hpp"
+#include "program_gen.hpp"
+#include "sim/pipeline.hpp"
+#include "workloads/workloads.hpp"
 
 namespace asbr {
 namespace {
@@ -188,6 +198,102 @@ TEST(SelectionTest, ThresholdValidation) {
     SelectionConfig cfg;
     cfg.threshold = 5;
     EXPECT_THROW(selectFoldableBranches(p, prof, {}, cfg), EnsureError);
+}
+
+// ------------------------------------------- reference-accuracy replay ----
+//
+// Branch selection reads the bimodal-2048 reference predictor's per-site
+// accuracy from profilePredictions' replay of the ISS branch stream, not from
+// a pipeline run.  PipelineSim runs EX, where the predictor updates, before
+// IF, where it predicts, in every cycle, so a branch fetched two or more
+// committed instructions after an older branch sees that branch's update,
+// just as the replay does.  The only ordering under which the two can
+// differ: two conditional branches adjacent in the committed stream that
+// share a bimodal-2048 counter or BTB-2048 line.  The younger one is
+// fetched while the older one is still in ID, so the pipeline predicts it
+// before the update the replay has already applied.  Sharing means equal PCs
+// modulo 8 KiB.  Equal PCs cannot be adjacent in a terminating program (a
+// branch taken to itself re-tests unchanged registers forever), and no
+// program here has 8 KiB of text — each case asserts it.
+
+/// Per-site (executions, mispredicts).
+using SiteCounts =
+    std::map<std::uint32_t, std::pair<std::uint64_t, std::uint64_t>>;
+
+constexpr std::uint32_t kSharedIndexPeriod = 2048 * 4;  // bytes
+
+SiteCounts pipelineSites(const Program& p, Memory memory) {
+    auto predictor = makeBimodal2048();
+    PipelineSim sim(p, memory, *predictor);
+    const PipelineResult r = sim.run();
+    SiteCounts out;
+    for (const auto& [pc, site] : r.stats.branchSites)
+        out[pc] = {site.execs, site.execs - site.predicted};
+    return out;
+}
+
+SiteCounts replaySites(const Program& p, Memory memory) {
+    auto predictor = makeBimodal2048();
+    const PredictionProfile profile = profilePredictions(p, memory, *predictor);
+    SiteCounts out;
+    for (const auto& [pc, site] : profile.sites)
+        out[pc] = {site.execs, site.mispredicts};
+    return out;
+}
+
+/// `freshMemory` returns a new image holding the program and its input.
+void expectReplayMatchesPipeline(const Program& p,
+                                 const std::function<Memory()>& freshMemory,
+                                 const std::string& label) {
+    ASSERT_LT(p.code.size() * kInstrBytes, kSharedIndexPeriod) << label;
+    const SiteCounts pipeline = pipelineSites(p, freshMemory());
+    EXPECT_FALSE(pipeline.empty()) << label;
+    EXPECT_EQ(pipeline, replaySites(p, freshMemory())) << label;
+}
+
+std::function<Memory()> programOnly(const Program& p) {
+    return [&p] {
+        Memory memory;
+        memory.loadProgram(p);
+        return memory;
+    };
+}
+
+TEST(ReferenceReplayTest, MatchesPipelineOnEveryCodec) {
+    for (const std::uint64_t seed : {2001u, 2002u}) {
+        for (const BenchId id : kAllBenchesExtended) {
+            // Inputs of 0.3M-0.8M instructions each.
+            const bool g721 =
+                id == BenchId::kG721Encode || id == BenchId::kG721Decode;
+            const driver::Prepared prepared =
+                driver::prepare(id, true, seed, g721 ? 160 : 6'000);
+            expectReplayMatchesPipeline(
+                prepared.program,
+                [&prepared] { return driver::makeMemory(prepared); },
+                std::string(benchName(id)) + " seed " + std::to_string(seed));
+        }
+    }
+}
+
+TEST(ReferenceReplayTest, MatchesPipelineOnGeneratedPrograms) {
+    for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+        ProgramGen gen(seed * 6151);
+        gen.withDispatch(seed % 3 == 0).withIrreducible(seed % 4 == 0);
+        const Program p = assemble(gen.generate());
+        expectReplayMatchesPipeline(p, programOnly(p),
+                                    "seed " + std::to_string(seed));
+    }
+}
+
+TEST(ReferenceReplayTest, MatchesPipelineOnTwoInstructionLoop) {
+    // The tightest legal loop: each instance of the branch is fetched in the
+    // cycle its previous instance executes.
+    const Program p = assemble(std::string(R"(
+main:   li   s0, 40
+loop:   addiu s0, s0, -1
+        bnez s0, loop
+)") + kExit);
+    expectReplayMatchesPipeline(p, programOnly(p), "two-instruction loop");
 }
 
 }  // namespace

@@ -252,14 +252,7 @@ int cmdRun(int argc, char** argv) {
         std::fprintf(stderr, "run: --sample-ref requires --sample=W:M:S\n");
         return 2;
     }
-    if (!tracePath.empty()) {
-#ifndef ASBR_TRACING
-        std::fprintf(stderr,
-                     "warning: built without ASBR_TRACING; the trace file "
-                     "will contain no events\n");
-#endif
-        job.trace = true;
-    }
+    if (!tracePath.empty()) job.trace = true;
 
     SimEngine engine(driver::engineConfigFor(options));
     const JobResult r = engine.runOne(job);
