@@ -89,9 +89,9 @@ public:
     void reset() override;
 
     // The per-instruction replay hooks are defined inline: both the pipeline
-    // (through the virtual interface) and the sampled fast-forward loop
-    // (through the concrete type, which inlines them wholesale) fire these
-    // for every committed instruction.
+    // (through the virtual interface) and the sampled fast-forward stepper
+    // (replayArchStep on the concrete type, which inlines them wholesale)
+    // fire these for every committed instruction.
     void onProducerDecoded(std::uint8_t reg) override {
         if (!bdtGate(reg)) return;
         bdt_.producerDecoded(reg);
@@ -114,12 +114,17 @@ public:
         bit_.selectBank(static_cast<std::size_t>(value));
     }
 
-    void onArchStep(const DecodedOp& dec, const StepResult& sr) override {
-        // Same event stream as the base default — instantiating the shared
-        // replay body with the final class type devirtualizes and inlines
-        // every inner hook, which is what makes functional fast-forward
-        // cheap.
-        replayArchStep(*this, dec, sr);
+    /// Sampled fast-forward jump (sim/sampling.cpp): set the BDT to the
+    /// state the replayed event stream leaves at an architectural
+    /// checkpoint.  After a drain every register written so far holds the
+    /// direction bits of its current value with a zero counter; registers
+    /// never written keep their reset entry (sp and gp start nonzero without
+    /// a producer, so their entries still say zero).  Any recovery debt is
+    /// dropped, as replayArchStep drops it.
+    void resyncDrained(const ArchState& state, std::uint32_t writtenRegs) {
+        for (std::uint8_t r = 0; r < kNumRegs; ++r)
+            if (((writtenRegs >> r) & 1u) != 0) bdt_.resync(r, state.reg(r));
+        pendingRecoveryStall_ = 0;
     }
 
     std::uint32_t takeRecoveryStall() override {

@@ -64,6 +64,20 @@ public:
         e.parity = computeParity(e);
     }
 
+    /// Set entry `r` to its drained state for `value`: the direction bits of
+    /// `value`, no producer in flight.  Sampled fast-forward jumps the table
+    /// to an architectural checkpoint this way; the pipeline has drained
+    /// first, so the counter must already be zero.  Quarantined entries stay
+    /// out of service.
+    void resync(std::uint8_t r, std::int32_t value) {
+        ASBR_ENSURE(r < kNumRegs, "BDT: bad register");
+        Entry& e = entries_[r];
+        if (e.quarantined) return;
+        ASBR_ENSURE(e.pending == 0, "BDT: resync with a producer in flight");
+        e.bits = condMask(value);
+        e.parity = computeParity(e);
+    }
+
     /// True when no producer of `r` is in flight (folding is legal).
     /// Quarantined entries are never valid.
     [[nodiscard]] bool isValid(std::uint8_t r) const {
@@ -150,7 +164,7 @@ private:
     /// Direction bits are packed as a mask, bit c = evalCond(Cond(c), value)
     /// — same contents as the paper's per-condition bit vector, but a
     /// single-byte update/parity on the hot BDT-event path (the pipeline
-    /// and the sampled fast-forward replay fire these events for every
+    /// and the sampled fast-forward stepper fire these events for every
     /// value-producing instruction).
     struct Entry {
         std::uint8_t bits = 0;     ///< per-condition direction bits

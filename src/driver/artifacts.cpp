@@ -16,22 +16,26 @@ Prepared prepare(BenchId id, bool scheduled, std::uint64_t seed,
     prepared.id = id;
     prepared.scheduled = scheduled;
     prepared.program = buildBench(id, scheduled);
-    prepared.pcm = generateSpeech(std::min(samples, benchMaxSamples(id)), seed);
-    if (!benchIsEncoder(id)) {
-        // Decoders consume the matching encoder's output, as in MediaBench.
-        switch (id) {
-            case BenchId::kAdpcmDecode:
-                prepared.codes = adpcmEncodeRef(prepared.pcm);
-                break;
-            case BenchId::kG721Decode:
-                prepared.codes = g721EncodeRef(prepared.pcm);
-                break;
-            case BenchId::kG711Decode:
-                prepared.codes = g711EncodeRef(prepared.pcm);
-                break;
-            default:
-                ASBR_ENSURE(false, "prepare: unexpected decoder");
-        }
+    std::vector<std::int16_t> pcm =
+        generateSpeech(std::min(samples, benchMaxSamples(id)), seed);
+    if (benchIsEncoder(id)) {
+        prepared.pcm = std::move(pcm);
+        return prepared;
+    }
+    // Decoders consume the matching encoder's output, as in MediaBench; the
+    // speech itself is not kept.
+    switch (id) {
+        case BenchId::kAdpcmDecode:
+            prepared.codes = adpcmEncodeRef(pcm);
+            break;
+        case BenchId::kG721Decode:
+            prepared.codes = g721EncodeRef(pcm);
+            break;
+        case BenchId::kG711Decode:
+            prepared.codes = g711EncodeRef(pcm);
+            break;
+        default:
+            ASBR_ENSURE(false, "prepare: unexpected decoder");
     }
     return prepared;
 }
@@ -60,17 +64,26 @@ PipelineResult runPipeline(const Prepared& prepared, BranchPredictor& predictor,
 }
 
 SampledResult runSampledPipeline(const Prepared& prepared,
-                                 BranchPredictor& predictor,
-                                 FetchCustomizer* customizer,
-                                 const SamplingConfig& sampling,
+                                 BranchPredictor& predictor, AsbrUnit* unit,
+                                 const FastForwardLog& log,
                                  const PipelineConfig& config) {
     Memory memory = makeMemory(prepared);
     predictor.reset();
-    SampledResult result = runSampled(prepared.program, memory, predictor,
-                                      sampling, config, customizer);
+    SampledResult result =
+        runSampled(prepared.program, memory, predictor, log, config, unit);
     ASBR_ENSURE(result.exited && result.exitCode == 0,
                 "benchmark did not exit cleanly");
     return result;
+}
+
+SampledResult runSampledPipeline(const Prepared& prepared,
+                                 BranchPredictor& predictor, AsbrUnit* unit,
+                                 const SamplingConfig& sampling,
+                                 const PipelineConfig& config) {
+    Memory memory = makeMemory(prepared);
+    const FastForwardLog log = FastForwardLog::record(
+        prepared.program, memory, sampling, config.maxCycles);
+    return runSampledPipeline(prepared, predictor, unit, log, config);
 }
 
 WorkloadArtifacts::WorkloadArtifacts(const WorkloadKey& key)
@@ -100,6 +113,17 @@ std::shared_ptr<const PredictionProfile> WorkloadArtifacts::predictionProfile(
         Memory memory = makeMemory(prepared_);
         return std::make_shared<const PredictionProfile>(profilePredictions(
             prepared_.program, memory, *predictor, PipelineConfig{}.maxCycles));
+    });
+}
+
+std::shared_ptr<const FastForwardLog> WorkloadArtifacts::fastForwardLog(
+    const SamplingConfig& sampling,
+    const std::function<void()>& poll) const {
+    return logs_.get(sampling, [&] {
+        Memory memory = makeMemory(prepared_);
+        return std::make_shared<const FastForwardLog>(
+            FastForwardLog::record(prepared_.program, memory, sampling,
+                                   PipelineConfig{}.maxCycles, poll));
     });
 }
 

@@ -6,8 +6,9 @@
 // engine would recompute them on every worker.  This layer computes each
 // artifact exactly once per key and shares the result read-only:
 //
-//   WorkloadKey  -> WorkloadArtifacts   program + input (+ lazy profile and
-//                                       per-token prediction profiles)
+//   WorkloadKey  -> WorkloadArtifacts   program + input (+ lazy profile,
+//                                       per-token prediction profiles and
+//                                       per-geometry fast-forward logs)
 //   SelectionKey -> SelectionArtifacts  selected candidates + extracted
 //                                       BIT/static-fold entries
 //
@@ -19,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -33,6 +35,7 @@
 #include "mem/memory.hpp"
 #include "profile/profiler.hpp"
 #include "profile/selection.hpp"
+#include "sim/fast_forward_log.hpp"
 #include "sim/pipeline.hpp"
 #include "sim/sampling.hpp"
 #include "workloads/workloads.hpp"
@@ -45,8 +48,8 @@ struct Prepared {
     BenchId id;
     bool scheduled = true;  ///< condition-scheduling pass was enabled
     Program program;
-    std::vector<std::int16_t> pcm;
-    std::vector<std::uint8_t> codes;
+    std::vector<std::int16_t> pcm;    ///< encoder input (empty for decoders)
+    std::vector<std::uint8_t> codes;  ///< decoder input (empty for encoders)
 };
 
 [[nodiscard]] Prepared prepare(BenchId id, bool scheduled, std::uint64_t seed,
@@ -62,19 +65,25 @@ struct Prepared {
                                          FetchCustomizer* customizer = nullptr,
                                          const PipelineConfig& config = {});
 
-/// One sampled run (docs/simulation.md) against a fresh memory image.
-/// Resets the predictor first and asserts a clean exit — a sampled run still
-/// executes every instruction architecturally, so the exit contract holds.
+/// One sampled run (docs/simulation.md) against a fresh memory image, on
+/// the workload's fast-forward log `log`.  Resets the predictor first and
+/// asserts a clean exit — a sampled run still reaches the program's exit
+/// architecturally, so the exit contract holds.
 [[nodiscard]] SampledResult runSampledPipeline(
-    const Prepared& prepared, BranchPredictor& predictor,
-    FetchCustomizer* customizer, const SamplingConfig& sampling,
-    const PipelineConfig& config = {});
+    const Prepared& prepared, BranchPredictor& predictor, AsbrUnit* unit,
+    const FastForwardLog& log, const PipelineConfig& config = {});
+
+/// One-shot form: records its own fast-forward log for `sampling` first.
+[[nodiscard]] SampledResult runSampledPipeline(
+    const Prepared& prepared, BranchPredictor& predictor, AsbrUnit* unit,
+    const SamplingConfig& sampling, const PipelineConfig& config = {});
 
 /// Thread-safe once-per-key store of immutable values: a key's first
 /// requester computes, concurrent requesters for the same key block on a
 /// shared_future, and requesters of *different* keys never serialize against
-/// the computation.  A computation that throws is stored too, so every
-/// requester of that key rethrows it.
+/// the computation.  A computation that throws is not kept: its requesters
+/// at the time rethrow the error, and a later request computes again (a
+/// walk abandoned at one job's deadline must not fail the jobs after it).
 template <typename Key, typename Value>
 class OncePerKey {
 public:
@@ -102,6 +111,10 @@ public:
                 promise.set_value(make());
                 computes_.fetch_add(1, std::memory_order_relaxed);
             } catch (...) {
+                {
+                    std::lock_guard<std::mutex> lock(mutex_);
+                    slots_.erase(key);
+                }
                 promise.set_exception(std::current_exception());
             }
         }
@@ -155,12 +168,12 @@ struct SelectionKey {
     auto operator<=>(const SelectionKey&) const = default;
 };
 
-/// Immutable loaded workload.  The branch profile and the prediction
-/// profiles are computed lazily (non-ASBR jobs never pay for them) but still
-/// exactly once, so concurrent callers are safe.  Both are functional (ISS)
-/// passes bounded at PipelineConfig::maxCycles instructions: the pipeline
-/// commits at most one instruction per cycle, so every program a job's own
-/// run accepts profiles within the bound.
+/// Immutable loaded workload.  The branch profile, the prediction profiles
+/// and the fast-forward logs are computed lazily (jobs that do not need one
+/// never pay for it) but still exactly once, so concurrent callers are
+/// safe.  All are functional (ISS) passes bounded at PipelineConfig::maxCycles
+/// instructions: the pipeline commits at most one instruction per cycle, so
+/// every program a job's own run accepts completes within the bound.
 class WorkloadArtifacts {
 public:
     explicit WorkloadArtifacts(const WorkloadKey& key);
@@ -183,12 +196,23 @@ public:
     [[nodiscard]] std::shared_ptr<const PredictionProfile> predictionProfile(
         const std::string& token) const;
 
+    /// Architectural checkpoints of this workload's stream on the grid of
+    /// one window geometry, shared by every sampled job that uses it (lazy,
+    /// once per geometry).  Sampled jobs request it inside their timed
+    /// simulation phase, never during artifact set-up.  When this request
+    /// records the log, `poll` runs periodically during the walk and may
+    /// throw to abandon it (FastForwardLog::record).
+    [[nodiscard]] std::shared_ptr<const FastForwardLog> fastForwardLog(
+        const SamplingConfig& sampling,
+        const std::function<void()>& poll = {}) const;
+
 private:
     WorkloadKey key_;
     Prepared prepared_;
     mutable std::once_flag profileOnce_;
     mutable std::optional<ProgramProfile> profile_;
     mutable OncePerKey<std::string, PredictionProfile> predictions_;
+    mutable OncePerKey<SamplingConfig, FastForwardLog> logs_;
 };
 
 /// Immutable branch selection: candidates plus the extracted table contents,

@@ -1,9 +1,11 @@
 #include "driver/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 #include "driver/names.hpp"
 
@@ -21,6 +23,39 @@ std::optional<std::uint64_t> numArg(const std::string& arg,
     if (arg.rfind(prefix, 0) != 0) return std::nullopt;
     return std::strtoull(arg.c_str() + len, nullptr, 10);
 }
+
+namespace {
+
+/// One --sample field: a non-empty run of decimal digits that fits in 64
+/// bits (no sign, no blanks — from_chars rejects both).
+std::optional<std::uint64_t> sampleField(std::string_view text) {
+    std::uint64_t value = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end) return std::nullopt;
+    return value;
+}
+
+/// WARMUP:MEASURE:SKIP with MEASURE > 0.  The unit length W+M+S must stay
+/// below 2^63, so that neither the sampling checkpoint grid nor a
+/// pipeline's committed + maxCommits bound can wrap.
+std::optional<SamplingConfig> parseSampleSpec(std::string_view spec) {
+    const std::size_t first = spec.find(':');
+    const std::size_t second = first == std::string_view::npos
+                                   ? first
+                                   : spec.find(':', first + 1);
+    if (second == std::string_view::npos) return std::nullopt;
+    const auto warmup = sampleField(spec.substr(0, first));
+    const auto measure = sampleField(spec.substr(first + 1, second - first - 1));
+    const auto skip = sampleField(spec.substr(second + 1));
+    constexpr std::uint64_t kLimit = std::uint64_t{1} << 63;
+    if (!warmup || !measure || !skip || *measure == 0 || *warmup >= kLimit ||
+        *measure >= kLimit - *warmup || *skip >= kLimit - *warmup - *measure)
+        return std::nullopt;
+    return SamplingConfig{*warmup, *measure, *skip};
+}
+
+}  // namespace
 
 bool consumeSharedOption(const std::string& arg, CliOptions& out,
                          std::string& error) {
@@ -92,32 +127,13 @@ bool consumeSharedOption(const std::string& arg, CliOptions& out,
     if (arg.rfind("--sample=", 0) == 0) {
         // --sample=WARMUP:MEASURE:SKIP, instruction counts per sampling unit.
         const std::string spec = arg.substr(9);
-        const std::size_t first = spec.find(':');
-        const std::size_t second =
-            first == std::string::npos ? std::string::npos
-                                       : spec.find(':', first + 1);
-        SamplingConfig sampling;
-        char* end = nullptr;
-        bool ok = first != std::string::npos && second != std::string::npos;
-        if (ok) {
-            sampling.warmup = std::strtoull(spec.c_str(), &end, 10);
-            ok = end == spec.c_str() + first;
-        }
-        if (ok) {
-            sampling.measure =
-                std::strtoull(spec.c_str() + first + 1, &end, 10);
-            ok = end == spec.c_str() + second && sampling.measure > 0;
-        }
-        if (ok) {
-            sampling.skip = std::strtoull(spec.c_str() + second + 1, &end, 10);
-            ok = *end == '\0';
-        }
-        if (!ok) {
+        if (const auto sampling = parseSampleSpec(spec)) {
+            out.sample = *sampling;
+        } else {
             error = "bad --sample spec '" + spec +
-                    "' (want WARMUP:MEASURE:SKIP with MEASURE > 0)";
-            return true;
+                    "' (want WARMUP:MEASURE:SKIP, unsigned decimal counts "
+                    "with MEASURE > 0 and a sum below 2^63)";
         }
-        out.sample = sampling;
         return true;
     }
     return false;

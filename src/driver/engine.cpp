@@ -153,9 +153,18 @@ JobResult SimEngine::execute(const SimJob& job, Deadline* deadline) {
     const auto simStart = std::chrono::steady_clock::now();
     PipelineStats runStats;
     if (job.sampled) {
+        // The first sampled job of a (workload, geometry) records the shared
+        // log here, so its simSeconds carries the walk, and checks its
+        // deadline during the walk as the pipeline's cycle hook would.  A
+        // job waiting on another job's walk is bounded by that job's
+        // deadline: an abandoned walk fails its waiters too, and their
+        // retries record the log again.
+        const auto log = workload->fastForwardLog(job.sampling, [deadline] {
+            if (deadline != nullptr) deadline->check();
+        });
         auto sampled = std::make_shared<SampledResult>(
             runSampledPipeline(workload->prepared(), *predictor, unit.get(),
-                               job.sampling, pipelineConfig));
+                               *log, pipelineConfig));
         jobsRun_.fetch_add(1, std::memory_order_relaxed);
         busyCycles_.fetch_add(sampled->measuredCycles,
                               std::memory_order_relaxed);

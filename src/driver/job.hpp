@@ -100,7 +100,9 @@ struct JobResult {
     /// Host wall-clock seconds spent in the simulation phase alone — the
     /// pipeline / sampled run plus any sampleReference run, excluding the
     /// compile/profile/select artifact work (which is cached across jobs and
-    /// would otherwise dominate short runs).  Host-dependent by nature:
+    /// would otherwise dominate short runs).  A sampled job that records its
+    /// workload's shared fast-forward log (the first job of each workload
+    /// and window geometry) includes that walk.  Host-dependent by nature:
     /// feeds the human-facing `sim speed` line and the sim.mips counter,
     /// never a JSON artifact.
     double simSeconds = 0.0;

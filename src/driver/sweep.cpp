@@ -18,6 +18,10 @@ std::vector<SimJob> expandSweep(const SweepGrid& grid,
         base.seed = options.seed;
         base.samples = samplesFor(options, id);
         base.figure = "sweep";
+        if (options.sample) {
+            base.sampled = true;
+            base.sampling = *options.sample;
+        }
         for (const std::string& predictor : grid.predictors) {
             base.predictor = predictor;
             if (grid.includeBaseline) {

@@ -32,7 +32,9 @@ struct SweepGrid {
 };
 
 /// Expand the grid into jobs.  Samples/seed come from the shared options
-/// (per-workload sample counts via samplesFor); every job is tagged
+/// (per-workload sample counts via samplesFor), and --sample makes every
+/// job a sampled run with that window geometry, so the cells of one
+/// workload share its fast-forward log; every job is tagged
 /// figure = "sweep".
 [[nodiscard]] std::vector<SimJob> expandSweep(const SweepGrid& grid,
                                               const CliOptions& options);

@@ -33,6 +33,17 @@ struct ArchState {
     }
 };
 
+/// The architectural state every run of `program` starts from: PC at the
+/// entry point, sp at the stack top, gp 32 KiB into the data segment (its
+/// global pointer), every other register 0.
+[[nodiscard]] inline ArchState resetState(const Program& program) {
+    ArchState state;
+    state.pc = program.entry;
+    state.setReg(reg::sp, static_cast<std::int32_t>(kStackTop));
+    state.setReg(reg::gp, static_cast<std::int32_t>(program.dataBase + 0x8000));
+    return state;
+}
+
 /// Program I/O and termination collected across a run.
 struct IoContext {
     std::string output;

@@ -29,11 +29,11 @@ enum class ValueStage : std::uint8_t { kExEnd = 0, kMemEnd = 1, kCommit = 2 };
 /// sequence, so BDT validity counters return to zero after every instruction
 /// and direction bits track architectural values bit-for-bit.
 ///
-/// This is THE definition of the per-instruction event stream — the
-/// fast-forward path of sampled simulation replays it between detailed
-/// windows.  It is a template so that a `final` customizer class (like
-/// AsbrUnit) gets every inner hook devirtualized and inlined; the generic
-/// FetchCustomizer::onArchStep default instantiates it with virtual dispatch.
+/// This is THE definition of the per-instruction event stream — sampled
+/// simulation's fast-forward stepper replays it into the ASBR unit for the
+/// instructions it executes between detailed windows.  It is a template so
+/// that a `final` customizer class (AsbrUnit) gets every inner hook
+/// devirtualized and inlined.
 template <class Customizer>
 inline void replayArchStep(Customizer& customizer, const DecodedOp& dec,
                            const StepResult& sr) {
@@ -90,16 +90,6 @@ public:
     virtual void onStore(std::uint32_t addr, std::int32_t value) {
         (void)addr;
         (void)value;
-    }
-
-    /// Batched replay of the full event stream of one architecturally
-    /// executed instruction (fast-forward hot path).  Semantically identical
-    /// to firing the fine-grained hooks above in pipeline order — the default
-    /// literally does that via replayArchStep().  A concrete customizer may
-    /// override with replayArchStep(*this, ...) to collapse up to five
-    /// virtual dispatches per instruction into one (AsbrUnit does).
-    virtual void onArchStep(const DecodedOp& dec, const StepResult& sr) {
-        replayArchStep(*this, dec, sr);
     }
 
     /// Fetch bubbles the customizer wants inserted after the current fetch —

@@ -9,12 +9,7 @@ FunctionalSim::FunctionalSim(const Program& program, Memory& memory)
     reset();
 }
 
-void FunctionalSim::reset() {
-    state_ = ArchState{};
-    state_.pc = program_.entry;
-    state_.setReg(reg::sp, static_cast<std::int32_t>(kStackTop));
-    state_.setReg(reg::gp, static_cast<std::int32_t>(program_.dataBase + 0x8000));
-}
+void FunctionalSim::reset() { state_ = resetState(program_); }
 
 FunctionalResult FunctionalSim::run(std::uint64_t maxInstructions) {
     FunctionalResult result;

@@ -93,9 +93,7 @@ constexpr std::uint8_t kLaneResolve = 4;
 // costs one pointer test, and the end-of-cycle latch snapshot in run() one
 // more.  Events carry POD values only and the tracer never feeds back into
 // simulated state, so cycle counts are identical with and without one
-// (metrics_test pins this).  Fault reports quote source lines of this file
-// (a failed ASBR_ENSURE's file:line lands in a fault's `detail`), so edits
-// above the stage code shift the committed fault goldens.
+// (metrics_test pins this).
 #define ASBR_TRACE(...)                                                 \
     do {                                                                \
         if (config_.tracer != nullptr)                                  \
@@ -113,9 +111,7 @@ PipelineSim::PipelineSim(const Program& program, Memory& memory,
       icache_(config.icache),
       dcache_(config.dcache),
       decode_(program) {
-    state_.pc = program_.entry;
-    state_.setReg(reg::sp, static_cast<std::int32_t>(kStackTop));
-    state_.setReg(reg::gp, static_cast<std::int32_t>(program_.dataBase + 0x8000));
+    state_ = resetState(program_);
     fetchPc_ = program_.entry;
     // The customizer starts each simulation clean; resetting here (rather
     // than in run()) lets bounded runs resume without wiping warm BDT state.

@@ -1,8 +1,10 @@
 #include "sim/sampling.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "asbr/asbr_unit.hpp"
+#include "sim/fast_forward_log.hpp"
 #include "util/ensure.hpp"
 #include "util/metrics.hpp"
 
@@ -10,24 +12,46 @@ namespace asbr {
 
 namespace {
 
-/// One fast-forward burst: decode-cached functional execution with the
-/// customizer fed the exact event stream the pipeline would emit
-/// (replayArchStep via the batched onArchStep hook).  Templated on the
-/// concrete customizer type so that for the common AsbrUnit case every hook
-/// body inlines into the loop — the replay then costs a couple of table
-/// writes per instruction instead of a chain of virtual calls.
-template <class Customizer>
-std::uint64_t fastForwardBurst(Customizer& customizer, DecodeCache& cache,
-                               ArchState& state, Memory& memory, IoContext& io,
-                               std::uint64_t budget) {
-    std::uint64_t skipped = 0;
-    while (skipped < budget && !io.exited) {
-        const DecodedOp& dec = cache.lookup(state.pc);
-        const StepResult sr = stepDecoded(state, memory, dec, io);
-        ++skipped;
-        customizer.onArchStep(dec, sr);
+/// Move a cell across one skip, from architectural position `from` to `to`
+/// (instructions executed since reset; `to` is at most the exit).  When a
+/// checkpoint of `log` lies in (from, to], the cell jumps to the last one:
+/// it applies the word runs of every interval it crosses, replays the
+/// crossed bank-select stores, resyncs the drained BDT and loads the
+/// checkpoint's registers and output prefix.  Either way it then steps the
+/// remaining distance on its own ISS, replaying each instruction's event
+/// stream into the unit.
+void fastForward(const FastForwardLog& log, AsbrUnit* unit,
+                 DecodeCache& decode, ArchState& state, Memory& memory,
+                 IoContext& io, std::uint64_t from, std::uint64_t to) {
+    const std::uint64_t spacing = log.spacing();
+    // The last checkpoint at or before `to`: the exit's, or one on the grid.
+    const std::size_t last = to == log.instructions()
+                                 ? log.checkpoints().size() - 1
+                                 : to / spacing;
+    const FastForwardLog::Checkpoint& checkpoint = log.checkpoints()[last];
+    std::uint64_t position = from;
+    if (checkpoint.position > from) {
+        for (std::size_t k = from / spacing; k < last; ++k)
+            log.applyInterval(k, memory);
+        position = checkpoint.position;
+        if (unit != nullptr) {
+            for (const FastForwardLog::BankSelect& store :
+                 log.bankSelects(from, position))
+                unit->onStore(kBitBankSelectAddr, store.value);
+            unit->resyncDrained(checkpoint.state, checkpoint.writtenRegs);
+        }
+        state = checkpoint.state;
+        io.output.assign(log.output(), 0, checkpoint.outputLength);
+        io.exited = position == log.instructions();
+        io.exitCode = io.exited ? log.exitCode() : 0;
     }
-    return skipped;
+    for (; position < to; ++position) {
+        const DecodedOp& dec = decode.lookup(state.pc);
+        const StepResult sr = stepDecoded(state, memory, dec, io);
+        if (unit != nullptr) replayArchStep(*unit, dec, sr);
+    }
+    ASBR_ENSURE(io.exited == (to == log.instructions()),
+                "sampling: the cell left the fast-forward log's stream");
 }
 
 }  // namespace
@@ -43,8 +67,8 @@ void SampledResult::publish(MetricRegistry& registry) const {
         .add(measuredInstructions);
     registry
         .counter("sim.fast_forward_instructions",
-                 "instructions executed on the functional fast-forward path "
-                 "between windows")
+                 "instructions skipped between windows (jumped across the "
+                 "workload's fast-forward log, or stepped on the cell's ISS)")
         .add(fastForwardInstructions);
 }
 
@@ -58,23 +82,16 @@ void SimSpeed::publish(MetricRegistry& registry) const {
 }
 
 SampledResult runSampled(const Program& program, Memory& memory,
-                         BranchPredictor& predictor,
-                         const SamplingConfig& sampling,
-                         const PipelineConfig& config,
-                         FetchCustomizer* customizer) {
-    ASBR_ENSURE(sampling.measure > 0,
-                "sampling: the measure window must be nonzero");
-
-    PipelineSim sim(program, memory, predictor, config, customizer);
-    DecodeCache fastForward(program);
+                         BranchPredictor& predictor, const FastForwardLog& log,
+                         const PipelineConfig& config, AsbrUnit* unit) {
+    const SamplingConfig& sampling = log.sampling();
+    PipelineSim sim(program, memory, predictor, config, unit);
+    DecodeCache decode(program);
     SampledResult out;
 
     // Architectural thread state, handed back and forth between the pipeline
-    // and the functional fast-forward loop.
-    ArchState state;
-    state.pc = program.entry;
-    state.setReg(reg::sp, static_cast<std::int32_t>(kStackTop));
-    state.setReg(reg::gp, static_cast<std::int32_t>(program.dataBase + 0x8000));
+    // and the fast-forward jumps.
+    ArchState state = resetState(program);
     IoContext io;
 
     while (!io.exited) {
@@ -102,24 +119,19 @@ SampledResult runSampled(const Program& program, Memory& memory,
             out.measuredInstructions += windowInstructions;
             out.measuredCycles += windowCycles;
         }
-        if (io.exited) break;
+        if (io.exited || sampling.skip == 0) continue;
 
-        // Fast-forward between detailed windows.  The AsbrUnit case gets a
-        // fully inlined replay loop; any other customizer goes through the
-        // virtual onArchStep hook; the bare loop skips replay entirely.
-        std::uint64_t skipped = 0;
-        if (auto* unit = dynamic_cast<AsbrUnit*>(customizer)) {
-            skipped = fastForwardBurst(*unit, fastForward, state, memory, io,
-                                       sampling.skip);
-        } else if (customizer != nullptr) {
-            skipped = fastForwardBurst(*customizer, fastForward, state, memory,
-                                       io, sampling.skip);
-        } else {
-            while (skipped < sampling.skip && !io.exited) {
-                stepDecoded(state, memory, fastForward.lookup(state.pc), io);
-                ++skipped;
-            }
-        }
+        // Skip.  A fold removes its branch from the committed stream, so the
+        // cell's position in the architectural stream counts folds too.
+        const std::uint64_t from = sim.stats().committed +
+                                   sim.stats().foldedBranches +
+                                   out.fastForwardInstructions;
+        ASBR_ENSURE(from < log.instructions(),
+                    "sampling: the cell ran past the fast-forward log's exit");
+        const std::uint64_t skipped =
+            std::min(sampling.skip, log.instructions() - from);
+        fastForward(log, unit, decode, state, memory, io, from,
+                    from + skipped);
         out.fastForwardInstructions += skipped;
     }
 

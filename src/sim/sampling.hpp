@@ -1,12 +1,15 @@
 // Sampled cycle-accurate simulation (systematic sampling, SMARTS-style).
 //
-// Alternates short cycle-accurate windows with long functional fast-forward
-// phases: one persistent PipelineSim keeps every long-lived microarchitectural
-// structure warm across windows (caches, predictor, BDT/BIT, decode cache),
-// while the skipped instructions execute on the decode-cached functional path
-// with the fetch customizer fed the same producer/value/store event stream the
-// pipeline would have produced — so ASBR direction bits stay architecturally
-// exact and a sampled run emits the *same program output* as a full run.
+// Alternates short cycle-accurate windows with long skipped stretches: one
+// persistent PipelineSim keeps every long-lived microarchitectural structure
+// warm across windows (caches, predictor, BDT/BIT, decode cache), while each
+// skip jumps the cell across the workload's shared FastForwardLog
+// (sim/fast_forward_log.hpp) — architectural checkpoints recorded once per
+// workload and window geometry — and steps only the remaining distance on
+// the cell's own ISS, feeding the ASBR unit the same event stream the
+// pipeline would have produced.  ASBR direction bits therefore stay
+// architecturally exact and a sampled run emits the *same program output* as
+// a full run.
 //
 // The CPI estimate is the ratio estimator over all measured windows
 // (measured cycles / measured instructions); the reported error bound is the
@@ -21,11 +24,12 @@
 #include "asm/program.hpp"
 #include "bp/predictor.hpp"
 #include "mem/memory.hpp"
-#include "sim/fetch_customizer.hpp"
 #include "sim/pipeline.hpp"
 
 namespace asbr {
 
+class AsbrUnit;
+class FastForwardLog;
 class MetricRegistry;
 
 /// Window geometry, in instructions.  A sampling unit is
@@ -35,6 +39,8 @@ struct SamplingConfig {
     std::uint64_t warmup = 2'000;
     std::uint64_t measure = 10'000;
     std::uint64_t skip = 100'000;
+
+    auto operator<=>(const SamplingConfig&) const = default;
 };
 
 /// One measured window.
@@ -83,12 +89,14 @@ struct SimSpeed {
     void publish(MetricRegistry& registry) const;
 };
 
-/// Run `program` to completion under systematic sampling.  `memory` must be
-/// freshly prepared (same contract as PipelineSim); `customizer` may be null.
+/// Run `program` to completion under systematic sampling with the window
+/// geometry `log` was recorded for.  `memory` must be freshly prepared (same
+/// contract as PipelineSim) and hold the image `log` was recorded from;
+/// `unit` may be null.  A geometry with no skip never consults its (empty)
+/// log.
 SampledResult runSampled(const Program& program, Memory& memory,
-                         BranchPredictor& predictor,
-                         const SamplingConfig& sampling,
+                         BranchPredictor& predictor, const FastForwardLog& log,
                          const PipelineConfig& config = {},
-                         FetchCustomizer* customizer = nullptr);
+                         AsbrUnit* unit = nullptr);
 
 }  // namespace asbr

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace asbr {
 
@@ -59,10 +60,14 @@ public:
 }
 
 namespace detail {
-[[noreturn]] inline void ensureFail(const char* expr, const char* file, int line,
+/// The message names the check's source file by base name only — no
+/// directory and no line — so recorded failures (fault-report `detail`
+/// strings) do not depend on the checkout path or shift with unrelated edits.
+[[noreturn]] inline void ensureFail(const char* expr, std::string_view file,
                                     const std::string& msg) {
+    file.remove_prefix(file.find_last_of('/') + 1);
     std::ostringstream os;
-    os << "ASBR_ENSURE failed: (" << expr << ") at " << file << ':' << line;
+    os << "ASBR_ENSURE failed: (" << expr << ") in " << file;
     if (!msg.empty()) os << " — " << msg;
     throw EnsureError(os.str());
 }
@@ -73,6 +78,6 @@ namespace detail {
 /// Check a precondition/invariant; throws asbr::EnsureError when false.
 #define ASBR_ENSURE(expr, msg)                                              \
     do {                                                                    \
-        if (!(expr)) ::asbr::detail::ensureFail(#expr, __FILE__, __LINE__,  \
-                                                std::string(msg));          \
+        if (!(expr))                                                        \
+            ::asbr::detail::ensureFail(#expr, __FILE__, std::string(msg));  \
     } while (0)

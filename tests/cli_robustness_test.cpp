@@ -299,6 +299,22 @@ TEST(CliRobustness, FaultsCampaignRejectsSampledSimulation) {
     EXPECT_NE(r.output.find("--sample"), r.output.npos) << r.output;
 }
 
+// Each of these specs used to parse into a geometry with zero windows (a
+// wrapped sign, an overflowed commit bound, a saturated field) or read an
+// empty field as 0, and the run exited 0 with a meaningless report.
+TEST(CliRobustness, StatsRunRejectsMalformedSampleSpecs) {
+    for (const char* spec : {"-1:2000:5000", "1000:-5:5000",
+                             "99999999999999999999:2:3", "1000:2000:",
+                             "4611686018427387904:4611686018427387904:1"}) {
+        const RunResult r = runTool(
+            "asbr-stats",
+            std::string("run --bench=adpcm-enc --quick --sample=") + spec);
+        expectCleanRejection(r, std::string("--sample=") + spec);
+        EXPECT_NE(r.output.find("bad --sample spec"), r.output.npos)
+            << spec << ": " << r.output;
+    }
+}
+
 TEST(CliRobustness, StatsRunRejectsJournalFlags) {
     expectCleanRejection(
         runTool("asbr-stats",

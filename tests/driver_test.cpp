@@ -158,6 +158,53 @@ TEST(DriverDeterminism, SweepReportBytesIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(validateSweepReportJson(*parsed.value).ok());
 }
 
+TEST(DriverDeterminism, SampledSweepCellsMatchTheirOwnRuns) {
+    // --sample makes every cell a sampled run; the cells of one workload
+    // share its fast-forward log, and sharing it changes no byte: each
+    // cell's report equals that of the same job run alone.
+    SweepGrid grid;
+    grid.workloads = {BenchId::kAdpcmEncode};
+    grid.bitSizes = {2, 4};
+    grid.stages = {ValueStage::kExEnd, ValueStage::kCommit};
+    grid.includeBaseline = true;
+    CliOptions options = tinyOptions();
+    options.sample = SamplingConfig{500, 2'000, 8'000};
+    const std::vector<SimJob> jobs = expandSweep(grid, options);
+    ASSERT_EQ(jobs.size(), 5u);
+    for (const SimJob& job : jobs) {
+        EXPECT_TRUE(job.sampled);
+        EXPECT_EQ(job.sampling, *options.sample);
+    }
+    SimEngine engine({.threads = 4});
+    const DurableRunResult outcome = engine.runDurable(jobs, {});
+    ASSERT_EQ(outcome.cells.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        ASSERT_EQ(outcome.cells[i].status, CellStatus::kOk)
+            << outcome.cells[i].error;
+        SimEngine alone;
+        const JobResult result = alone.runOne(jobs[i]);
+        ASSERT_NE(result.sampled, nullptr);
+        EXPECT_GT(result.sampled->fastForwardInstructions, 0u);
+        EXPECT_EQ(outcome.cells[i].report.dump(2),
+                  simReportJson(result.report).dump(2))
+            << outcome.cells[i].key;
+    }
+}
+
+TEST(ArtifactCacheTest, ThrownComputationIsNotKept) {
+    // A walk abandoned at one job's deadline must not fail later jobs: the
+    // error reaches that request only, and the next request computes.
+    OncePerKey<int, int> store;
+    EXPECT_THROW((void)store.get(1, []() -> std::shared_ptr<const int> {
+                     throw JobTimeoutError("abandoned");
+                 }),
+                 JobTimeoutError);
+    EXPECT_EQ(*store.get(1, [] { return std::make_shared<const int>(7); }), 7);
+    EXPECT_EQ(*store.get(1, [] { return std::make_shared<const int>(8); }), 7);
+    EXPECT_EQ(store.computes(), 1u);
+    EXPECT_EQ(store.hits(), 1u);
+}
+
 TEST(ArtifactCacheTest, ComputesOncePerKeyUnderConcurrentSubmission) {
     // 16 identical ASBR jobs race for the same two cache keys on 8 workers:
     // the workload must be loaded+profiled once and the selection computed
@@ -280,6 +327,29 @@ TEST(CliOptionsTest, BadWorkloadYieldsStructuredError) {
     EXPECT_TRUE(consumeSharedOption("--workload=quake3", options, error));
     EXPECT_NE(error.find("unknown workload 'quake3'"), error.npos) << error;
     EXPECT_FALSE(options.workload.has_value());
+}
+
+TEST(CliOptionsTest, SampleSpecIsThreeBoundedDecimalCounts) {
+    CliOptions options;
+    std::string error;
+    EXPECT_TRUE(consumeSharedOption("--sample=1000:2000:0", options, error));
+    EXPECT_TRUE(error.empty()) << error;
+    ASSERT_TRUE(options.sample.has_value());
+    EXPECT_EQ(*options.sample, (SamplingConfig{1'000, 2'000, 0}));
+    // W+M+S = 2^63 - 1 is the largest unit the checkpoint grid accepts.
+    EXPECT_TRUE(consumeSharedOption(
+        "--sample=9223372036854775800:6:1", options, error));
+    EXPECT_TRUE(error.empty()) << error;
+    for (const char* spec :
+         {"-1:2000:5000", "+1:2000:5000", "1000:-5:5000", "1000:0:5000",
+          "99999999999999999999:2:3", "1000:2000:", ":2000:5000",
+          "1000:2000", "1:2:3:4", " 1:2:3", "9223372036854775800:7:1"}) {
+        CliOptions rejected;
+        EXPECT_TRUE(consumeSharedOption(std::string("--sample=") + spec,
+                                        rejected, error));
+        EXPECT_NE(error.find("bad --sample spec"), error.npos) << spec;
+        EXPECT_FALSE(rejected.sample.has_value()) << spec;
+    }
 }
 
 TEST(CliOptionsTest, SamplesAreCappedAtWorkloadCapacity) {

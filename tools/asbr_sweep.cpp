@@ -73,7 +73,8 @@ namespace {
         "\n"
         "shared options: --quick --seed=N --adpcm=N --g721=N --threads=N\n"
         "                --workload=W (single-workload shorthand) --csv\n"
-        "                --sample=W:M:S\n",
+        "                --sample=W:M:S (every cell a sampled run; the\n"
+        "                cells of one workload share one fast-forward log)\n",
         out);
     std::exit(code);
 }
@@ -269,6 +270,11 @@ int main(int argc, char** argv) {
         optionsJson.emplace_back(
             "g721_samples", static_cast<std::uint64_t>(options.g721Samples));
         optionsJson.emplace_back("seed", options.seed);
+        if (options.sample)
+            optionsJson.emplace_back(
+                "sample", std::to_string(options.sample->warmup) + ":" +
+                              std::to_string(options.sample->measure) + ":" +
+                              std::to_string(options.sample->skip));
         std::vector<SweepCell> cells;
         cells.reserve(outcome.cells.size());
         for (const driver::CellOutcome& cell : outcome.cells) {
