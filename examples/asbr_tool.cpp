@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
 
     auto predictor = makePredictor(predictorName);
     AsbrUnit unit({stage, std::max<std::size_t>(bitEntries, 1), 1});
-    FetchCustomizer* customizer = nullptr;
+    AsbrUnit* customizer = nullptr;
 
     if (useAsbr) {
         Memory profMem;

@@ -1,7 +1,5 @@
 #include "asbr/asbr_unit.hpp"
 
-#include <algorithm>
-
 #include "util/metrics.hpp"
 
 namespace asbr {
@@ -66,61 +64,6 @@ void AsbrUnit::loadStaticFolds(std::vector<StaticFoldEntry> entries,
                                std::uint64_t bitSlotsReclaimed) {
     staticFolds_.load(std::move(entries));
     bitSlotsReclaimed_ = bitSlotsReclaimed;
-}
-
-std::optional<FetchCustomizer::FoldOutcome> AsbrUnit::onFetch(
-    std::uint32_t pc, const Instruction& fetched) {
-    // Statically-decided branches resolve before the BIT is even consulted:
-    // the direction is a customization-time constant, so no BDT read, no
-    // validity check, and no way to be blocked.
-    if (const StaticFoldEntry* sf = staticFolds_.lookup(pc)) {
-        ASBR_ENSURE(isCondBranch(fetched.op),
-                    "static fold entry does not match the fetched instruction");
-        ++stats_.staticFolds;
-        ++stats_.folds;
-        if (sf->taken) ++stats_.foldsTaken;
-        return FoldOutcome{sf->replacement, sf->replacementPc, sf->taken};
-    }
-    const BranchInfo* entry = nullptr;
-    if (config_.parityProtected) {
-        bool recovered = false;
-        entry = bit_.lookupProtected(pc, recovered);
-        if (recovered) {
-            chargeRecovery();
-            return std::nullopt;  // entry scrubbed — predictor path
-        }
-    } else {
-        entry = bit_.lookup(pc);
-    }
-    if (entry == nullptr) return std::nullopt;
-    ++stats_.lookups;
-    // The BIT identifies branches by PC before decode; entries are extracted
-    // from the same program image, so a mismatch means corrupted
-    // customization data.
-    ASBR_ENSURE(isCondBranch(fetched.op) && fetched.rs == entry->conditionReg,
-                "BIT entry does not match the fetched instruction");
-    if (!bdtGate(entry->conditionReg)) {
-        ++stats_.quarantinedBlocks;
-        return std::nullopt;  // BDT entry out of service — use predictor
-    }
-    if (!bdt_.isValid(entry->conditionReg)) {
-        ++stats_.blockedInvalid;
-        return std::nullopt;  // predicate producer in flight — use predictor
-    }
-    ++stats_.folds;
-    const bool taken = bdt_.direction(entry->conditionReg, entry->cond);
-    if (taken) {
-        ++stats_.foldsTaken;
-        return FoldOutcome{entry->bti, entry->bta, true};
-    }
-    return FoldOutcome{entry->bfi, pc + kInstrBytes, false};
-}
-
-void AsbrUnit::reset() {
-    bdt_.reset();
-    stats_ = AsbrStats{};
-    bit_.selectBank(0);
-    pendingRecoveryStall_ = 0;
 }
 
 }  // namespace asbr

@@ -2,10 +2,10 @@
 // contribution, packaged as a FetchCustomizer the pipeline consults on every
 // fetch.
 //
-// Phase 1 (Early Condition Evaluation): onValueAvailable events from the
-// pipeline update the BDT at the configured pipeline point (commit,
-// post-execute forwarding path, or execute end — Section 5.2's threshold
-// optimization).
+// Phase 1 (Early Condition Evaluation): the pipeline delivers each produced
+// value once, at the configured capture point (commit, post-execute
+// forwarding path, or execute end — Section 5.2's threshold optimization),
+// and onValueAvailable updates the BDT with it.
 //
 // Phase 2 (branch folding, paper Figure 4): onFetch looks the PC up in the
 // active BIT bank; on a match with a valid (no in-flight producer) condition
@@ -14,8 +14,8 @@
 // pipeline.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "asbr/bdt.hpp"
@@ -84,30 +84,88 @@ public:
                          std::uint64_t bitSlotsReclaimed = 0);
 
     /// FetchCustomizer interface --------------------------------------------
-    std::optional<FoldOutcome> onFetch(std::uint32_t pc,
-                                       const Instruction& fetched) override;
-    void reset() override;
+    //
+    // Every hook the cycle loop calls is defined here, in the header.  The
+    // pipeline instantiates its loop on this `final` type, so the calls bind
+    // directly and inline; and since asbr_core links asbr_sim, an
+    // out-of-line hook would be a reference from asbr_sim back into
+    // asbr_core that binaries linking only asbr_sim cannot resolve.
 
-    // The per-instruction replay hooks are defined inline: both the pipeline
-    // (through the virtual interface) and the sampled fast-forward stepper
-    // (replayArchStep on the concrete type, which inlines them wholesale)
-    // fire these for every committed instruction.
+    std::optional<FoldOutcome> onFetch(std::uint32_t pc,
+                                       const Instruction& fetched) override {
+        // Statically-decided branches resolve before the BIT is even
+        // consulted: the direction is a customization-time constant, so no
+        // BDT read, no validity check, and no way to be blocked.
+        if (const StaticFoldEntry* sf = staticFolds_.lookup(pc)) {
+            ASBR_ENSURE(isCondBranch(fetched.op),
+                        "static fold entry does not match the fetched "
+                        "instruction");
+            ++stats_.staticFolds;
+            ++stats_.folds;
+            if (sf->taken) ++stats_.foldsTaken;
+            return FoldOutcome{sf->replacement, sf->replacementPc, sf->taken};
+        }
+        const BranchInfo* entry = nullptr;
+        if (config_.parityProtected) {
+            bool recovered = false;
+            entry = bit_.lookupProtected(pc, recovered);
+            if (recovered) {
+                chargeRecovery();
+                return std::nullopt;  // entry scrubbed — predictor path
+            }
+        } else {
+            entry = bit_.lookup(pc);
+        }
+        if (entry == nullptr) return std::nullopt;
+        ++stats_.lookups;
+        // The BIT identifies branches by PC before decode; entries are
+        // extracted from the same program image, so a mismatch means
+        // corrupted customization data.
+        ASBR_ENSURE(isCondBranch(fetched.op) &&
+                        fetched.rs == entry->conditionReg,
+                    "BIT entry does not match the fetched instruction");
+        if (!bdtGate(entry->conditionReg)) {
+            ++stats_.quarantinedBlocks;
+            return std::nullopt;  // BDT entry out of service — use predictor
+        }
+        if (!bdt_.isValid(entry->conditionReg)) {
+            ++stats_.blockedInvalid;
+            return std::nullopt;  // predicate producer in flight — use predictor
+        }
+        ++stats_.folds;
+        const bool taken = bdt_.direction(entry->conditionReg, entry->cond);
+        if (taken) {
+            ++stats_.foldsTaken;
+            return FoldOutcome{entry->bti, entry->bta, true};
+        }
+        return FoldOutcome{entry->bfi, pc + kInstrBytes, false};
+    }
+
+    void reset() override {
+        bdt_.reset();
+        stats_ = AsbrStats{};
+        bit_.selectBank(0);
+        pendingRecoveryStall_ = 0;
+    }
+
+    /// A producer of `reg` passed decode: its BDT entry goes stale until the
+    /// matching onValueAvailable.
     void onProducerDecoded(std::uint8_t reg) override {
         if (!bdtGate(reg)) return;
         bdt_.producerDecoded(reg);
     }
 
-    void onValueAvailable(std::uint8_t reg, std::int32_t value,
-                          ValueStage stage, ValueStage firstStage) override {
-        // Values are captured at the configured stage, or at first
-        // availability when that is later (loads cannot be captured before
-        // MEM).
-        const ValueStage effective = std::max(config_.updateStage, firstStage);
-        if (stage != effective) return;
+    /// Early condition evaluation captures values at the configured stage.
+    ValueStage captureStage() const override { return config_.updateStage; }
+
+    /// The captured value of `reg`: recompute its direction bits and release
+    /// one pending producer.
+    void onValueAvailable(std::uint8_t reg, std::int32_t value) override {
         if (!bdtGate(reg)) return;
         bdt_.update(reg, value);
     }
 
+    /// Stores to the bank-select control register switch the active bank.
     void onStore(std::uint32_t addr, std::int32_t value) override {
         if (addr != kBitBankSelectAddr) return;
         ++stats_.bankSwitches;

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
 
 #include "isa/isa.hpp"
@@ -183,11 +182,15 @@ private:
         return mask;
     }
 
+    /// Even parity over the condition bits and the counter: XOR-fold both
+    /// (they fit in one byte) down to a nibble, then read that nibble's
+    /// parity out of the 16-entry constant 0x6996.  Not std::popcount:
+    /// without a popcount instruction in the target ISA that is a library
+    /// call per BDT event.
     [[nodiscard]] static bool computeParity(const Entry& e) {
-        return (std::popcount(static_cast<unsigned>(e.bits)) +
-                std::popcount(static_cast<unsigned>(e.pending))) %
-                   2 !=
-               0;
+        unsigned x = static_cast<unsigned>(e.bits ^ e.pending);
+        x ^= x >> 4;
+        return ((0x6996u >> (x & 0xFu)) & 1u) != 0;
     }
 
     std::array<Entry, kNumRegs> entries_;

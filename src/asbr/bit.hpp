@@ -87,12 +87,14 @@ public:
             stored.push_back(s);
         }
         banks_[bank] = std::move(stored);
+        rebuildFilter();
     }
 
     /// Select the active bank (control-register write at run time).
     void selectBank(std::size_t bank) {
         ASBR_ENSURE(bank < banks_.size(), "BIT: bad bank index");
         active_ = bank;
+        rebuildFilter();
     }
 
     [[nodiscard]] std::size_t activeBank() const { return active_; }
@@ -118,6 +120,7 @@ public:
     /// replacement slot no longer decodes is corrupted customization data:
     /// fetching through it is an illegal-instruction condition.
     [[nodiscard]] const BranchInfo* lookup(std::uint32_t pc) const {
+        if ((pcFilter_ & filterBit(pc)) == 0) return nullptr;
         for (const Stored& e : banks_[active_]) {
             if (!e.valid || e.info.pc != pc) continue;
             ASBR_ENSURE(e.decodable,
@@ -134,6 +137,7 @@ public:
     [[nodiscard]] const BranchInfo* lookupProtected(std::uint32_t pc,
                                                     bool& recovered) {
         recovered = false;
+        if ((pcFilter_ & filterBit(pc)) == 0) return nullptr;
         for (Stored& e : banks_[active_]) {
             if (!e.valid || e.info.pc != pc) continue;
             if (e.parity != computeParity(e)) {
@@ -162,6 +166,7 @@ public:
         switch (field) {
             case BitField::kPc:
                 e.info.pc ^= mask;
+                rebuildFilter();
                 break;
             case BitField::kDi:
                 if (bit < 5) {
@@ -213,6 +218,20 @@ private:
         bool decodable = true;      ///< replacement words still decode
     };
 
+    /// Bit (pc / 4) mod 64 of the PC filter.
+    [[nodiscard]] static std::uint64_t filterBit(std::uint32_t pc) {
+        return std::uint64_t{1} << ((pc >> 2) & 63u);
+    }
+
+    /// Re-derive the filter from the active bank's stored PCs.  A lookup
+    /// scans the bank only when its PC's filter bit is set, so most fetches
+    /// are rejected with one AND.  Entries invalidated by a protected-mode
+    /// recovery may keep their bit: a stale bit only costs a scan.
+    void rebuildFilter() {
+        pcFilter_ = 0;
+        for (const Stored& e : banks_[active_]) pcFilter_ |= filterBit(e.info.pc);
+    }
+
     static void redecode(std::uint32_t word, Instruction& slot, Stored& e) {
         try {
             slot = decode(word);
@@ -236,6 +255,7 @@ private:
     std::size_t capacity_;
     std::size_t active_ = 0;
     std::vector<std::vector<Stored>> banks_;
+    std::uint64_t pcFilter_ = 0;  ///< see rebuildFilter()
 };
 
 }  // namespace asbr

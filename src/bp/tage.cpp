@@ -50,6 +50,11 @@ TagePredictor::TagePredictor(Config config)
     tables_.assign(config_.historyLengths.size(),
                    std::vector<TaggedEntry>(config_.taggedEntries));
     tableHits_.assign(tables_.size(), 0);
+    indexBits_ = log2Of(config_.taggedEntries);
+    for (const std::uint32_t length : config_.historyLengths)
+        folds_.push_back({{0, length, indexBits_},
+                          {0, length, config_.tagBits},
+                          {0, length, config_.tagBits - 1}});
 }
 
 std::string TagePredictor::name() const {
@@ -86,35 +91,19 @@ std::string TagePredictor::token() const {
     return token;
 }
 
-std::uint32_t TagePredictor::foldedHistory(std::uint32_t length,
-                                           std::uint32_t bits) const {
-    // XOR-fold the low `length` history bits into a `bits`-wide value.
-    const std::uint64_t masked =
-        length >= 64 ? history_ : (history_ & ((1ull << length) - 1));
-    std::uint32_t folded = 0;
-    for (std::uint32_t shift = 0; shift < length; shift += bits)
-        folded ^= static_cast<std::uint32_t>((masked >> shift) &
-                                             ((1ull << bits) - 1));
-    return folded;
-}
-
 std::size_t TagePredictor::tableIndex(int table, std::uint32_t pc) const {
-    const std::uint32_t bits = log2Of(config_.taggedEntries);
-    const std::uint32_t length =
-        config_.historyLengths[static_cast<std::size_t>(table)];
     const std::uint32_t hashed =
-        (pc >> 2) ^ (pc >> (2 + bits)) ^ foldedHistory(length, bits) ^
+        (pc >> 2) ^ (pc >> (2 + indexBits_)) ^
+        folds_[static_cast<std::size_t>(table)].index.value ^
         (static_cast<std::uint32_t>(table) << 1);
     return hashed & (config_.taggedEntries - 1);
 }
 
 std::uint16_t TagePredictor::tableTag(int table, std::uint32_t pc) const {
-    const std::uint32_t length =
-        config_.historyLengths[static_cast<std::size_t>(table)];
     // Fold with a different width than the index so tag and index decorrelate.
-    const std::uint32_t hashed = (pc >> 2) ^
-                                 foldedHistory(length, config_.tagBits) ^
-                                 (foldedHistory(length, config_.tagBits - 1) << 1);
+    const TableFolds& folds = folds_[static_cast<std::size_t>(table)];
+    const std::uint32_t hashed =
+        (pc >> 2) ^ folds.tag.value ^ (folds.tagNarrow.value << 1);
     return static_cast<std::uint16_t>(hashed & ((1u << config_.tagBits) - 1));
 }
 
@@ -225,6 +214,12 @@ void TagePredictor::update(std::uint32_t pc, bool taken, std::uint32_t target) {
         }
     }
 
+    for (TableFolds& folds : folds_) {
+        const bool out = ((history_ >> (folds.index.length - 1)) & 1u) != 0;
+        folds.index.shift(taken, out);
+        folds.tag.shift(taken, out);
+        folds.tagNarrow.shift(taken, out);
+    }
     history_ = (history_ << 1) | (taken ? 1u : 0u);
     if (taken) btb_.update(pc, target);
 
@@ -240,6 +235,8 @@ void TagePredictor::reset() {
     for (std::vector<TaggedEntry>& table : tables_)
         std::fill(table.begin(), table.end(), TaggedEntry{});
     history_ = 0;
+    for (TableFolds& folds : folds_)
+        folds.index.value = folds.tag.value = folds.tagNarrow.value = 0;
     updates_ = 0;
     rng_ = 0x9e3779b97f4a7c15ull;
     btb_.reset();

@@ -18,6 +18,11 @@ class PredictorRegistry;
 /// The model keeps no speculative state: prediction is recomputed inside
 /// update() against the same history predict() saw (history only advances
 /// at resolve time), so results are deterministic at any thread count.
+///
+/// Each table hashes its history slice as the XOR of `width`-bit chunks of
+/// the newest `length` history bits.  Those folds are kept as circular-shift
+/// registers updated once per history shift [Seznec & Michaud 06], so a
+/// lookup reads them instead of re-folding the history.
 class TagePredictor final : public BranchPredictor {
 public:
     struct Config {
@@ -59,8 +64,29 @@ private:
         std::size_t altSlot = 0;
     };
 
-    [[nodiscard]] std::uint32_t foldedHistory(std::uint32_t length,
-                                              std::uint32_t bits) const;
+    /// One folded view of the newest `length` history bits, `width` wide.
+    struct FoldedHistory {
+        std::uint32_t value = 0;
+        std::uint32_t length = 0;
+        std::uint32_t width = 0;
+
+        /// Track the history shifting in `in` and dropping its bit `length`
+        /// - 1 (`out`): rotate left by one, then fix up both end bits.
+        void shift(bool in, bool out) {
+            if (width == 0) return;
+            value = ((value << 1) | (value >> (width - 1))) &
+                    ((1u << width) - 1);
+            value ^= static_cast<std::uint32_t>(in) ^
+                     (static_cast<std::uint32_t>(out) << (length % width));
+        }
+    };
+
+    /// Per-table folds of the current history: the index hash and the two
+    /// tag hashes (tagBits and tagBits - 1 wide).
+    struct TableFolds {
+        FoldedHistory index, tag, tagNarrow;
+    };
+
     [[nodiscard]] std::size_t tableIndex(int table, std::uint32_t pc) const;
     [[nodiscard]] std::uint16_t tableTag(int table, std::uint32_t pc) const;
     [[nodiscard]] Match findMatch(std::uint32_t pc) const;
@@ -68,8 +94,10 @@ private:
                                     bool alt) const;
 
     Config config_;
+    std::uint32_t indexBits_ = 0;  ///< log2(taggedEntries)
     std::vector<std::uint8_t> base_;  // 2-bit counters, taken at >= 2
     std::vector<std::vector<TaggedEntry>> tables_;
+    std::vector<TableFolds> folds_;  ///< per table, kept in step with history_
     std::uint64_t history_ = 0;
     std::uint64_t updates_ = 0;
     std::uint64_t rng_ = 0x9e3779b97f4a7c15ull;  // deterministic tie-breaker

@@ -52,11 +52,10 @@ Memory makeMemory(const Prepared& prepared) {
 }
 
 PipelineResult runPipeline(const Prepared& prepared, BranchPredictor& predictor,
-                           FetchCustomizer* customizer,
-                           const PipelineConfig& config) {
+                           AsbrUnit* unit, const PipelineConfig& config) {
     Memory memory = makeMemory(prepared);
     predictor.reset();
-    PipelineSim sim(prepared.program, memory, predictor, config, customizer);
+    PipelineSim sim(prepared.program, memory, predictor, config, unit);
     PipelineResult result = sim.run();
     ASBR_ENSURE(result.exited && result.exitCode == 0,
                 "benchmark did not exit cleanly");

@@ -62,7 +62,7 @@ struct Prepared {
 /// predictor first and asserts a clean exit.
 [[nodiscard]] PipelineResult runPipeline(const Prepared& prepared,
                                          BranchPredictor& predictor,
-                                         FetchCustomizer* customizer = nullptr,
+                                         AsbrUnit* unit = nullptr,
                                          const PipelineConfig& config = {});
 
 /// One sampled run (docs/simulation.md) against a fresh memory image, on

@@ -121,10 +121,12 @@ InjectionRecord runInjection(const FaultRunFactory& factory,
         record.detail = e.what();
     } catch (const EnsureError& e) {
         // An integrity check (illegal decode, BIT/fetch mismatch, counter
-        // invariant) stopped the machine: detected, but not survivable.
+        // invariant) stopped the machine: detected, but not survivable.  The
+        // detail is the check's message alone, so it does not change when
+        // the check's code is reworded or moved.
         record.outcome = FaultOutcome::kDetectedAborted;
         record.recoveries = run.unit->stats().parityRecoveries;
-        record.detail = e.what();
+        record.detail = e.message();
     }
     return record;
 }

@@ -1,5 +1,6 @@
 #include "mem/cache.hpp"
 
+#include <bit>
 #include <string>
 
 #include "util/metrics.hpp"
@@ -26,23 +27,17 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
     ASBR_ENSURE(config.sizeBytes % (config.lineBytes * config.assoc) == 0,
                 "size must be a multiple of lineBytes*assoc");
     ASBR_ENSURE(isPow2(config.numSets()), "number of sets must be a power of two");
+    lineShift_ = static_cast<std::uint32_t>(std::countr_zero(config.lineBytes));
+    setBits_ = static_cast<std::uint32_t>(std::countr_zero(config.numSets()));
+    setMask_ = config.numSets() - 1;
     lines_.resize(config.numLines());
 }
 
-std::uint32_t Cache::setIndex(std::uint32_t addr) const {
-    return (addr / config_.lineBytes) & (config_.numSets() - 1);
-}
-
-std::uint32_t Cache::tagOf(std::uint32_t addr) const {
-    return (addr / config_.lineBytes) / config_.numSets();
-}
-
-std::uint32_t Cache::access(std::uint32_t addr) {
+std::uint32_t Cache::lookup(std::uint32_t block) {
     ++tick_;
-    ++stats_.accesses;
-    const std::uint32_t set = setIndex(addr);
-    const std::uint32_t tag = tagOf(addr);
-    Line* base = &lines_[set * config_.assoc];
+    mruBlock_ = block;
+    const std::uint32_t tag = block >> setBits_;
+    Line* base = &lines_[(block & setMask_) * config_.assoc];
     Line* victim = base;
     for (std::uint32_t w = 0; w < config_.assoc; ++w) {
         Line& line = base[w];
@@ -63,9 +58,9 @@ std::uint32_t Cache::access(std::uint32_t addr) {
 }
 
 bool Cache::probe(std::uint32_t addr) const {
-    const std::uint32_t set = setIndex(addr);
-    const std::uint32_t tag = tagOf(addr);
-    const Line* base = &lines_[set * config_.assoc];
+    const std::uint32_t block = addr >> lineShift_;
+    const std::uint32_t tag = block >> setBits_;
+    const Line* base = &lines_[(block & setMask_) * config_.assoc];
     for (std::uint32_t w = 0; w < config_.assoc; ++w) {
         if (base[w].valid && base[w].tag == tag) return true;
     }
@@ -76,6 +71,7 @@ void Cache::reset() {
     for (Line& line : lines_) line = Line{};
     stats_ = CacheStats{};
     tick_ = 0;
+    mruBlock_ = kNoBlock;
 }
 
 }  // namespace asbr

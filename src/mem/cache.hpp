@@ -47,12 +47,19 @@ public:
     explicit Cache(const CacheConfig& config);
 
     /// Access one address; returns the stall penalty in cycles (0 on hit).
-    /// Misses allocate the line (write-allocate for stores).
-    std::uint32_t access(std::uint32_t addr);
+    /// Misses allocate the line (write-allocate for stores).  A re-hit of
+    /// the most recently used line — nearly every I-fetch — returns here:
+    /// that line is already the newest in its set, so the LRU order stays
+    /// as a full lookup would leave it, and the access is still counted.
+    std::uint32_t access(std::uint32_t addr) {
+        ++stats_.accesses;
+        const std::uint32_t block = addr >> lineShift_;
+        if (block == mruBlock_) return 0;
+        return lookup(block);
+    }
 
     /// True when the line containing addr is currently resident (no state
-    /// change) — used by tests and by the fetch stage's "free" re-probe of a
-    /// just-filled line.
+    /// change).  Only tests use it.
     [[nodiscard]] bool probe(std::uint32_t addr) const;
 
     /// Invalidate everything (e.g. between benchmark runs).
@@ -68,11 +75,18 @@ private:
         std::uint64_t lastUse = 0;  // for LRU
     };
 
-    [[nodiscard]] std::uint32_t setIndex(std::uint32_t addr) const;
-    [[nodiscard]] std::uint32_t tagOf(std::uint32_t addr) const;
+    /// No block: line addresses are below 2^30 (lines are >= 4 bytes).
+    static constexpr std::uint32_t kNoBlock = ~std::uint32_t{0};
+
+    /// Full set lookup of line address `block`; updates LRU state.
+    std::uint32_t lookup(std::uint32_t block);
 
     CacheConfig config_;
-    std::vector<Line> lines_;  // sets_ * assoc_, row-major by set
+    std::uint32_t lineShift_ = 0;  ///< log2(lineBytes)
+    std::uint32_t setBits_ = 0;    ///< log2(numSets)
+    std::uint32_t setMask_ = 0;    ///< numSets - 1
+    std::uint32_t mruBlock_ = kNoBlock;  ///< line address of the last access
+    std::vector<Line> lines_;  // sets * assoc, row-major by set
     CacheStats stats_;
     std::uint64_t tick_ = 0;
 };

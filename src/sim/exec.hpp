@@ -138,15 +138,20 @@ void doSyscall(ArchState& state, IoContext& io);  // cold path: exec.cpp
 }  // namespace exec_detail
 
 /// Execute one pre-decoded micro-op against memory, updating state
-/// (including state.pc) and io.  The record's decode-time PC is the
-/// execution PC — all control-flow targets were resolved against it.  This
-/// is THE semantics implementation; step() and the decode-cached hot paths
-/// all land here.  Inline: it sits on the per-instruction hot path of both
-/// simulators and the sampled fast-forward loop.
-inline StepResult stepDecoded(ArchState& state, Memory& memory,
-                              const DecodedOp& dec, IoContext& io) {
+/// (including state.pc) and io, and describe it in `r` (every field is
+/// overwritten).  The record's decode-time PC is the execution PC — all
+/// control-flow targets were resolved against it.  This is THE semantics
+/// implementation; step() and the decode-cached hot paths all land here.
+/// Inline: it sits on the per-instruction hot path of both simulators and
+/// the sampled fast-forward loop.  The pipeline executes straight into its
+/// EX latch through this overload; always_inline because the pipeline's
+/// cycle loop is large enough that GCC otherwise keeps this as a call.
+[[gnu::always_inline]] inline void stepDecoded(ArchState& state,
+                                               Memory& memory,
+                                               const DecodedOp& dec,
+                                               IoContext& io, StepResult& r) {
     const Instruction& ins = dec.ins;
-    StepResult r;
+    r = StepResult{};
     r.pc = dec.pc;
     r.nextPc = dec.fallthrough;
 
@@ -245,6 +250,13 @@ inline StepResult stepDecoded(ArchState& state, Memory& memory,
     if (r.write && r.write->reg == reg::zero) r.write.reset();
 
     state.pc = r.nextPc;
+}
+
+/// stepDecoded() returning the StepResult by value.
+inline StepResult stepDecoded(ArchState& state, Memory& memory,
+                              const DecodedOp& dec, IoContext& io) {
+    StepResult r;
+    stepDecoded(state, memory, dec, io, r);
     return r;
 }
 

@@ -23,9 +23,9 @@ namespace asbr {
 enum class ValueStage : std::uint8_t { kExEnd = 0, kMemEnd = 1, kCommit = 2 };
 
 /// Replay, architecturally, the customizer event stream one instruction
-/// generates on its way down the pipeline: producer registration at ID,
-/// value captures at EX-end (non-loads), MEM-end and commit, and the store
-/// port.  With zero instruction overlap this is exactly the in-order event
+/// generates on its way down the pipeline: producer registration at ID, the
+/// one value event at the customizer's capture stage, and the store port.
+/// With zero instruction overlap this is exactly the in-order event
 /// sequence, so BDT validity counters return to zero after every instruction
 /// and direction bits track architectural values bit-for-bit.
 ///
@@ -38,17 +38,7 @@ template <class Customizer>
 inline void replayArchStep(Customizer& customizer, const DecodedOp& dec,
                            const StepResult& sr) {
     if (dec.writesDest) customizer.onProducerDecoded(dec.dest);
-    if (sr.write) {
-        const ValueStage first =
-            sr.isLoadOp ? ValueStage::kMemEnd : ValueStage::kExEnd;
-        if (first == ValueStage::kExEnd)
-            customizer.onValueAvailable(sr.write->reg, sr.write->value,
-                                        ValueStage::kExEnd, first);
-        customizer.onValueAvailable(sr.write->reg, sr.write->value,
-                                    ValueStage::kMemEnd, first);
-        customizer.onValueAvailable(sr.write->reg, sr.write->value,
-                                    ValueStage::kCommit, first);
-    }
+    if (sr.write) customizer.onValueAvailable(sr.write->reg, sr.write->value);
     if (sr.isStoreOp) customizer.onStore(sr.memAddr, sr.storeValue);
     // There is no fetch stream to stall during a replay; drain any
     // parity-recovery debt so it cannot leak into later pipeline timing.
@@ -77,12 +67,15 @@ public:
     /// decode).  Never called for r0.
     virtual void onProducerDecoded(std::uint8_t reg) = 0;
 
-    /// `reg` now holds `value` as the producing instruction passes `stage`.
-    /// Fired once per stage the value exists in: ALU results at kExEnd,
-    /// kMemEnd and kCommit; load results at kMemEnd and kCommit.
-    /// `firstStage` is the earliest stage the value exists at.
-    virtual void onValueAvailable(std::uint8_t reg, std::int32_t value,
-                                  ValueStage stage, ValueStage firstStage) = 0;
+    /// The pipeline point at which this customizer captures produced values.
+    /// Read once per PipelineSim::run() call.
+    [[nodiscard]] virtual ValueStage captureStage() const = 0;
+
+    /// `reg` now holds `value`.  Fired exactly once per produced register,
+    /// in program order: at captureStage(), or at kMemEnd for a load when
+    /// the capture stage is kExEnd (a loaded value does not exist before
+    /// MEM).  Every onProducerDecoded(reg) is matched by one such event.
+    virtual void onValueAvailable(std::uint8_t reg, std::int32_t value) = 0;
 
     /// A store to `addr` completed (MEM stage).  Default: ignored.  The ASBR
     /// unit watches a memory-mapped control register here to switch BIT banks

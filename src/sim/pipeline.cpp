@@ -1,5 +1,10 @@
 #include "sim/pipeline.hpp"
 
+#include <algorithm>
+#include <optional>
+#include <utility>
+
+#include "asbr/asbr_unit.hpp"
 #include "util/ensure.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
@@ -100,6 +105,23 @@ constexpr std::uint8_t kLaneResolve = 4;
             config_.tracer->record(TraceEvent{__VA_ARGS__});            \
     } while (false)
 
+namespace {
+
+/// The customizer of a run without one: every hook is an inline no-op, so
+/// its instantiation of the cycle loop carries no customizer code at all.
+struct NoCustomizer {
+    static std::optional<FetchCustomizer::FoldOutcome> onFetch(
+        std::uint32_t, const Instruction&) {
+        return std::nullopt;
+    }
+    static void onProducerDecoded(std::uint8_t) {}
+    static void onValueAvailable(std::uint8_t, std::int32_t) {}
+    static void onStore(std::uint32_t, std::int32_t) {}
+    static std::uint32_t takeRecoveryStall() { return 0; }
+};
+
+}  // namespace
+
 PipelineSim::PipelineSim(const Program& program, Memory& memory,
                          BranchPredictor& predictor, const PipelineConfig& config,
                          FetchCustomizer* customizer)
@@ -110,12 +132,21 @@ PipelineSim::PipelineSim(const Program& program, Memory& memory,
       customizer_(customizer),
       icache_(config.icache),
       dcache_(config.dcache),
-      decode_(program) {
+      decode_(program),
+      sites_(program.code.size()) {
     state_ = resetState(program_);
     fetchPc_ = program_.entry;
     // The customizer starts each simulation clean; resetting here (rather
     // than in run()) lets bounded runs resume without wiping warm BDT state.
     if (customizer_ != nullptr) customizer_->reset();
+}
+
+PipelineSim::PipelineSim(const Program& program, Memory& memory,
+                         BranchPredictor& predictor, const PipelineConfig& config,
+                         AsbrUnit* unit)
+    : PipelineSim(program, memory, predictor, config,
+                  static_cast<FetchCustomizer*>(unit)) {
+    asbr_ = unit;
 }
 
 std::uint32_t PipelineSim::exOccupancy(Op op) const {
@@ -125,27 +156,41 @@ std::uint32_t PipelineSim::exOccupancy(Op op) const {
     return 1;
 }
 
-void PipelineSim::emitValue(const Slot& slot, ValueStage stage) {
-    if (!customizer_ || !slot.exec.write) return;
+BranchSiteStats& PipelineSim::site(std::uint32_t pc) {
+    if (!program_.inText(pc)) return stats_.branchSites[pc];
+    const std::uint32_t index = (pc - program_.textBase) / kInstrBytes;
+    if (sites_[index].execs == 0) executedSites_.push_back(index);
+    return sites_[index];
+}
+
+template <class Customizer>
+void PipelineSim::emitValue(Customizer& customizer, const Slot& slot,
+                            ValueStage stage) {
+    if (!slot.exec.write) return;
+    // A loaded value first exists at MEM end, so a load is captured there
+    // when the customizer's stage is earlier.
     const ValueStage first =
         slot.exec.isLoadOp ? ValueStage::kMemEnd : ValueStage::kExEnd;
-    customizer_->onValueAvailable(slot.exec.write->reg, slot.exec.write->value,
-                                  stage, first);
+    if (std::max(capture_, first) != stage) return;
+    customizer.onValueAvailable(slot.exec.write->reg, slot.exec.write->value);
 }
 
-void PipelineSim::stageWriteback() {
-    if (!memWb_.valid) return;
+template <class Customizer>
+void PipelineSim::stageWriteback(Customizer& customizer) {
+    if (!memWb_->valid) return;
     ++stats_.committed;
-    emitValue(memWb_, ValueStage::kCommit);
-    memWb_.valid = false;
+    emitValue(customizer, *memWb_, ValueStage::kCommit);
+    memWb_->valid = false;
 }
 
-void PipelineSim::stageMemory() {
-    if (!exMem_.valid) return;
+template <class Customizer>
+void PipelineSim::stageMemory(Customizer& customizer) {
+    const Slot& slot = *exMem_;
+    if (!slot.valid) return;
     if (!memStarted_) {
         memStarted_ = true;
-        if (exMem_.exec.memAccess) {
-            const std::uint32_t penalty = dcache_.access(exMem_.exec.memAddr);
+        if (slot.exec.memAccess) {
+            const std::uint32_t penalty = dcache_.access(slot.exec.memAddr);
             if (penalty > 0) {
                 memBusy_ = penalty;
                 stats_.dcacheStallCycles += penalty;
@@ -156,23 +201,26 @@ void PipelineSim::stageMemory() {
         --memBusy_;
         return;  // stalled; memWb_ is already drained by stageWriteback
     }
-    if (customizer_ && exMem_.exec.isStoreOp) {
-        customizer_->onStore(exMem_.exec.memAddr, exMem_.exec.storeValue);
-    }
-    emitValue(exMem_, ValueStage::kMemEnd);
-    memWb_ = exMem_;
-    exMem_.valid = false;
+    if (slot.exec.isStoreOp)
+        customizer.onStore(slot.exec.memAddr, slot.exec.storeValue);
+    emitValue(customizer, slot, ValueStage::kMemEnd);
+    // stageWriteback drained memWb_ this cycle: hand it the instruction and
+    // take its empty slot.
+    std::swap(exMem_, memWb_);
+    exMem_->valid = false;
     memStarted_ = false;
 }
 
-void PipelineSim::stageExecute() {
-    if (!idEx_.valid) return;
-    ASBR_ENSURE(!idEx_.outOfText,
+template <class Customizer>
+void PipelineSim::stageExecute(Customizer& customizer) {
+    Slot& slot = *idEx_;
+    if (!slot.valid) return;
+    ASBR_ENSURE(!slot.outOfText,
                 "executing outside the text segment (runaway control flow)");
     if (!exStarted_) {
         exStarted_ = true;
-        idEx_.exec = stepDecoded(state_, memory_, *idEx_.dec, io_);
-        const std::uint32_t occupancy = exOccupancy(idEx_.dec->ins.op);
+        stepDecoded(state_, memory_, *slot.dec, io_, slot.exec);
+        const std::uint32_t occupancy = exOccupancy(slot.dec->ins.op);
         if (occupancy > 1) {
             exBusy_ = occupancy - 1;
             stats_.mulDivStallCycles += occupancy - 1;
@@ -182,61 +230,61 @@ void PipelineSim::stageExecute() {
         --exBusy_;
         return;
     }
-    if (exMem_.valid) return;  // structural stall: MEM is busy
+    if (exMem_->valid) return;  // structural stall: MEM is busy
 
-    const StepResult& e = idEx_.exec;
+    const StepResult& e = slot.exec;
 
-    if (idEx_.wasFolded) {
+    if (slot.wasFolded) {
         ++stats_.foldedBranches;
         ++stats_.condBranches;
-        BranchSiteStats& site = stats_.branchSites[idEx_.foldOrigin];
-        ++site.execs;
-        ++site.folded;
-        if (idEx_.foldTaken) ++site.taken;
+        BranchSiteStats& folded = site(slot.foldOrigin);
+        ++folded.execs;
+        ++folded.folded;
+        if (slot.foldTaken) ++folded.taken;
         ASBR_TRACE(.cycle = stats_.cycles, .kind = TraceKind::kFold,
-                   .lane = kLaneResolve, .flag = idEx_.foldTaken,
-                   .pc = idEx_.foldOrigin, .arg = idEx_.pc,
-                   .name = opName(idEx_.dec->ins.op));
+                   .lane = kLaneResolve, .flag = slot.foldTaken,
+                   .pc = slot.foldOrigin, .arg = slot.pc,
+                   .name = opName(slot.dec->ins.op));
     }
     if (e.isBranch) {
         ++stats_.condBranches;
         ++stats_.predictedBranches;
-        BranchSiteStats& site = stats_.branchSites[idEx_.pc];
-        ++site.execs;
-        if (e.branchTaken) ++site.taken;
-        predictor_.update(idEx_.pc, e.branchTaken, e.branchTarget);
-        const bool correct = idEx_.predictedNext == e.nextPc;
+        BranchSiteStats& branch = site(slot.pc);
+        ++branch.execs;
+        if (e.branchTaken) ++branch.taken;
+        predictor_.update(slot.pc, e.branchTaken, e.branchTarget);
+        const bool correct = slot.predictedNext == e.nextPc;
         ASBR_TRACE(.cycle = stats_.cycles, .kind = TraceKind::kBranch,
-                   .lane = kLaneResolve, .flag = e.branchTaken, .pc = idEx_.pc,
-                   .arg = e.nextPc, .name = opName(idEx_.dec->ins.op));
+                   .lane = kLaneResolve, .flag = e.branchTaken, .pc = slot.pc,
+                   .arg = e.nextPc, .name = opName(slot.dec->ins.op));
         if (correct) {
             ++stats_.predictedCorrect;
-            ++site.predicted;
+            ++branch.predicted;
         } else {
             ++stats_.mispredicts;
             ASBR_TRACE(.cycle = stats_.cycles, .kind = TraceKind::kMispredict,
                        .lane = kLaneResolve, .flag = e.branchTaken,
-                       .pc = idEx_.pc, .arg = e.nextPc,
-                       .name = opName(idEx_.dec->ins.op));
+                       .pc = slot.pc, .arg = e.nextPc,
+                       .name = opName(slot.dec->ins.op));
             redirect(e.nextPc);
         }
-    } else if (e.nextPc != idEx_.predictedNext) {
+    } else if (e.nextPc != slot.predictedNext) {
         // Indirect jump (jr/jalr) resolving in EX.
         ++stats_.mispredicts;
         ASBR_TRACE(.cycle = stats_.cycles, .kind = TraceKind::kMispredict,
-                   .lane = kLaneResolve, .flag = true, .pc = idEx_.pc,
-                   .arg = e.nextPc, .name = opName(idEx_.dec->ins.op));
+                   .lane = kLaneResolve, .flag = true, .pc = slot.pc,
+                   .arg = e.nextPc, .name = opName(slot.dec->ins.op));
         redirect(e.nextPc);
     }
 
     if (io_.exited) {
         halting_ = true;
-        ifId_.valid = false;
+        ifId_->valid = false;
     }
 
-    if (!e.isLoadOp) emitValue(idEx_, ValueStage::kExEnd);
-    exMem_ = idEx_;
-    idEx_.valid = false;
+    emitValue(customizer, slot, ValueStage::kExEnd);
+    std::swap(idEx_, exMem_);  // exMem_ is empty (checked above)
+    idEx_->valid = false;
     exStarted_ = false;
 }
 
@@ -247,18 +295,20 @@ const DecodedOp* PipelineSim::inject(const DecodedOp& dec) {
 }
 
 void PipelineSim::redirect(std::uint32_t target) {
-    ifId_.valid = false;
+    ifId_->valid = false;
     flushedThisCycle_ = true;
     fetchPc_ = target;
     ifBusy_ = 0;  // cancel any wrong-path I-cache fill in flight
     redirectStall_ = config_.redirectBubbles;
 }
 
-void PipelineSim::stageDecode() {
-    if (!ifId_.valid || flushedThisCycle_ || halting_) return;
-    if (idEx_.valid) return;  // EX occupied (multi-cycle op or structural stall)
+template <class Customizer>
+void PipelineSim::stageDecode(Customizer& customizer) {
+    if (!ifId_->valid || flushedThisCycle_ || halting_) return;
+    if (idEx_->valid) return;  // EX occupied (multi-cycle op or structural stall)
+    const DecodedOp& dec = *ifId_->dec;
     if (loadUseHazard_) {
-        const SrcRegs& srcs = ifId_.dec->srcs;
+        const SrcRegs& srcs = dec.srcs;
         // loadUseHazard_ is only set when the EX instruction at cycle start
         // was a load; hazardReg_ is its destination.
         for (int i = 0; i < srcs.count; ++i) {
@@ -268,16 +318,16 @@ void PipelineSim::stageDecode() {
             }
         }
     }
-    if (customizer_ && ifId_.dec->writesDest) {
-        customizer_->onProducerDecoded(ifId_.dec->dest);
-    }
-    idEx_ = ifId_;
-    ifId_.valid = false;
+    if (dec.writesDest) customizer.onProducerDecoded(dec.dest);
+    std::swap(ifId_, idEx_);  // idEx_ is empty (checked above)
+    ifId_->valid = false;
 }
 
-void PipelineSim::stageFetch() {
+template <class Customizer>
+void PipelineSim::stageFetch(Customizer& customizer) {
     if (halting_ || flushedThisCycle_) return;
-    if (ifId_.valid) return;  // ID did not drain the latch
+    Slot& slot = *ifId_;
+    if (slot.valid) return;  // ID did not drain the latch
     if (redirectStall_ > 0) {
         --redirectStall_;
         ++stats_.redirectStallCycles;
@@ -288,18 +338,19 @@ void PipelineSim::stageFetch() {
         ++stats_.parityStallCycles;
         return;
     }
+    slot.wasFolded = false;
+    slot.foldOrigin = 0;
+    slot.foldTaken = false;
     if (!program_.inText(fetchPc_)) {
         // Speculative fetch past the text segment (prefetch beyond an exit
         // syscall or down a wrong path).  Deliver an inert bubble; it is an
         // error only if it reaches execute (genuine runaway control flow).
-        Slot bubble;
-        bubble.valid = true;
-        bubble.pc = fetchPc_;
-        bubble.dec = inject(decodeOne(Instruction{}, fetchPc_));  // inert nop
-        bubble.predictedNext = fetchPc_ + kInstrBytes;
-        bubble.outOfText = true;
-        fetchPc_ = bubble.predictedNext;
-        ifId_ = bubble;
+        slot.valid = true;
+        slot.pc = fetchPc_;
+        slot.dec = inject(decodeOne(Instruction{}, fetchPc_));  // inert nop
+        slot.predictedNext = fetchPc_ + kInstrBytes;
+        slot.outOfText = true;
+        fetchPc_ = slot.predictedNext;
         return;
     }
     if (ifBusy_ > 0) {
@@ -321,31 +372,27 @@ void PipelineSim::stageFetch() {
     // Steady-state hot path: the text word at fetchPc_ was decoded the
     // first time it was fetched; every later trip is an indexed cache read.
     const DecodedOp& cached = decode_.lookup(fetchPc_);
-
-    Slot slot;
-    if (customizer_) {
-        if (const auto fold = customizer_->onFetch(fetchPc_, cached.ins)) {
-            // Accounting happens when the replacement reaches EX — fetches
-            // on a wrong path are squashed and must not count.  The
-            // replacement is decoded fresh: a BTI/BFI injected by the BIT is
-            // not guaranteed to match the program image at replacementPc, so
-            // it must never be served from (or written into) the cache.
-            slot.wasFolded = true;
-            slot.foldOrigin = fetchPc_;
-            slot.foldTaken = fold->taken;
-            slot.dec = inject(decodeOne(fold->replacement, fold->replacementPc));
-        }
-        // A parity recovery inside the customizer costs resync bubbles on
-        // the fetches that follow (the fetched instruction itself proceeds).
-        parityStall_ += customizer_->takeRecoveryStall();
+    slot.dec = &cached;
+    if (const auto fold = customizer.onFetch(fetchPc_, cached.ins)) {
+        // Accounting happens when the replacement reaches EX — fetches on a
+        // wrong path are squashed and must not count.  The replacement is
+        // decoded fresh: a BTI/BFI injected by the BIT is not guaranteed to
+        // match the program image at replacementPc, so it must never be
+        // served from (or written into) the cache.
+        slot.wasFolded = true;
+        slot.foldOrigin = fetchPc_;
+        slot.foldTaken = fold->taken;
+        slot.dec = inject(decodeOne(fold->replacement, fold->replacementPc));
     }
-    if (!slot.wasFolded) slot.dec = &cached;
+    // A parity recovery inside the customizer costs resync bubbles on the
+    // fetches that follow (the fetched instruction itself proceeds).
+    parityStall_ += customizer.takeRecoveryStall();
 
     slot.valid = true;
     slot.pc = slot.dec->pc;
+    slot.outOfText = false;
     if (slot.dec->condBranch) {
         const Prediction p = predictor_.predict(slot.pc);
-        slot.wasPredicted = true;
         slot.predictedNext =
             p.effectiveTaken() ? *p.target : slot.dec->fallthrough;
     } else {
@@ -354,7 +401,6 @@ void PipelineSim::stageFetch() {
         slot.predictedNext = slot.dec->fetchNext;
     }
     fetchPc_ = slot.predictedNext;
-    ifId_ = slot;
     ++stats_.fetched;
 }
 
@@ -370,19 +416,16 @@ void PipelineSim::traceLatches() {
                                           .name = opName(slot.dec->ins.op)});
     };
     // End-of-cycle snapshot of the four inter-stage latches.
-    occupied(ifId_, kLaneIfId);
-    occupied(idEx_, kLaneIdEx);
-    occupied(exMem_, kLaneExMem);
-    occupied(memWb_, kLaneMemWb);
+    occupied(*ifId_, kLaneIfId);
+    occupied(*idEx_, kLaneIdEx);
+    occupied(*exMem_, kLaneExMem);
+    occupied(*memWb_, kLaneMemWb);
 }
 
 void PipelineSim::warmStart(const ArchState& state, IoContext io) {
     state_ = state;
     io_ = std::move(io);
-    ifId_ = Slot{};
-    idEx_ = Slot{};
-    exMem_ = Slot{};
-    memWb_ = Slot{};
+    for (Slot& slot : slots_) slot.valid = false;
     fetchPc_ = state_.pc;
     commitLimit_ = 0;
     ifBusy_ = 0;
@@ -401,8 +444,8 @@ void PipelineSim::warmStart(const ArchState& state, IoContext io) {
     // a warm start resumes the microarchitecture, not the program.
 }
 
-PipelineResult PipelineSim::run(std::uint64_t maxCommits) {
-    commitLimit_ = maxCommits == 0 ? 0 : stats_.committed + maxCommits;
+template <class Customizer>
+void PipelineSim::cycleLoop(Customizer& customizer) {
     while (true) {
         ++stats_.cycles;
         if (stats_.cycles > config_.maxCycles)
@@ -414,14 +457,14 @@ PipelineResult PipelineSim::run(std::uint64_t maxCommits) {
         flushedThisCycle_ = false;
         // Snapshot for the load-use interlock: the instruction occupying EX
         // at the start of the cycle.
-        loadUseHazard_ = idEx_.valid && idEx_.dec->load;
-        hazardReg_ = loadUseHazard_ ? idEx_.dec->ins.rd : reg::zero;
+        loadUseHazard_ = idEx_->valid && idEx_->dec->load;
+        hazardReg_ = loadUseHazard_ ? idEx_->dec->ins.rd : reg::zero;
 
-        stageWriteback();
-        stageMemory();
-        stageExecute();
-        stageDecode();
-        stageFetch();
+        stageWriteback(customizer);
+        stageMemory(customizer);
+        stageExecute(customizer);
+        stageDecode(customizer);
+        stageFetch(customizer);
 
         if (config_.tracer != nullptr && config_.tracer->wants(stats_.cycles))
             traceLatches();
@@ -432,13 +475,30 @@ PipelineResult PipelineSim::run(std::uint64_t maxCommits) {
         if (commitLimit_ != 0 && stats_.committed >= commitLimit_ &&
             !halting_) {
             halting_ = true;
-            ifId_.valid = false;
+            ifId_->valid = false;
         }
-        if ((io_.exited || halting_) && !idEx_.valid && !exMem_.valid &&
-            !memWb_.valid)
+        if ((io_.exited || halting_) && !idEx_->valid && !exMem_->valid &&
+            !memWb_->valid)
             break;
     }
+}
 
+PipelineResult PipelineSim::run(std::uint64_t maxCommits) {
+    commitLimit_ = maxCommits == 0 ? 0 : stats_.committed + maxCommits;
+    if (asbr_ != nullptr) {
+        capture_ = asbr_->captureStage();
+        cycleLoop(*asbr_);
+    } else if (customizer_ != nullptr) {
+        capture_ = customizer_->captureStage();
+        cycleLoop(*customizer_);
+    } else {
+        NoCustomizer none;
+        cycleLoop(none);
+    }
+
+    for (const std::uint32_t index : executedSites_)
+        stats_.branchSites[program_.textBase + index * kInstrBytes] =
+            sites_[index];
     PipelineResult result;
     stats_.icache = icache_.stats();
     stats_.dcache = dcache_.stats();

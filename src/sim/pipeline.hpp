@@ -20,12 +20,20 @@
 // on the fly instead — a BTI/BFI is not guaranteed to match the program
 // image — so the cache can never leak a stale or wrong record into the
 // fold path.  The cache affects host speed only, never simulated timing.
+//
+// Host-side shape of the cycle loop: the four inter-stage latches are
+// pointers rotating over four fixed Slot records, so an instruction's slot
+// moves down the pipe without being copied; fetch fills its slot in place
+// and EX executes straight into the slot's StepResult.  The loop is one
+// template instantiated per customizer type — none, the `final` AsbrUnit
+// (hooks bound directly and inlined), and the virtual FetchCustomizer.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "asm/program.hpp"
 #include "bp/predictor.hpp"
@@ -37,6 +45,7 @@
 
 namespace asbr {
 
+class AsbrUnit;
 class MetricRegistry;
 class Tracer;
 
@@ -165,6 +174,15 @@ public:
     PipelineSim(const Program& program, Memory& memory,
                 BranchPredictor& predictor, const PipelineConfig& config = {},
                 FetchCustomizer* customizer = nullptr);
+    /// The same with the ASBR unit as customizer (may be null): the cycle
+    /// loop runs on the concrete type, so the unit's hooks inline.
+    PipelineSim(const Program& program, Memory& memory,
+                BranchPredictor& predictor, const PipelineConfig& config,
+                AsbrUnit* unit);
+
+    /// The latches point into the simulator itself.
+    PipelineSim(const PipelineSim&) = delete;
+    PipelineSim& operator=(const PipelineSim&) = delete;
 
     /// Run the program to completion (exit syscall), or — when maxCommits is
     /// nonzero — until at least that many further instructions commit (the
@@ -191,17 +209,17 @@ public:
     [[nodiscard]] const IoContext& io() const { return io_; }
 
 private:
+    /// One in-flight instruction.  Fetch fills every field but `exec`, which
+    /// EX fills when the instruction executes.
     struct Slot {
         bool valid = false;
         std::uint32_t pc = 0;
         /// Pre-decoded micro-op.  Points either into the decode cache (whose
         /// slots are sized once at bind() and filled in place, so records
         /// never move) or into injected_ for customizer replacements and
-        /// out-of-text bubbles.  A pointer keeps the per-cycle latch copies
-        /// at one word instead of a full DecodedOp.
+        /// out-of-text bubbles.
         const DecodedOp* dec = nullptr;
         std::uint32_t predictedNext = 0;
-        bool wasPredicted = false;   ///< predictor consulted in IF
         bool wasFolded = false;      ///< injected by the customizer
         std::uint32_t foldOrigin = 0;  ///< folded branch's own PC
         bool foldTaken = false;      ///< resolved direction of the fold
@@ -215,14 +233,29 @@ private:
     /// ring of eight can never overwrite a live record.
     const DecodedOp* inject(const DecodedOp& dec);
 
-    void redirect(std::uint32_t target);
-    void stageWriteback();
-    void stageMemory();
-    void stageExecute();
-    void stageDecode();
-    void stageFetch();
+    /// The cycle loop and its stages, instantiated per customizer type
+    /// (pipeline.cpp).
+    template <class Customizer>
+    void cycleLoop(Customizer& customizer);
+    template <class Customizer>
+    void stageWriteback(Customizer& customizer);
+    template <class Customizer>
+    void stageMemory(Customizer& customizer);
+    template <class Customizer>
+    void stageExecute(Customizer& customizer);
+    template <class Customizer>
+    void stageDecode(Customizer& customizer);
+    template <class Customizer>
+    void stageFetch(Customizer& customizer);
+    /// Deliver `slot`'s produced value if `stage` is where it is captured.
+    template <class Customizer>
+    void emitValue(Customizer& customizer, const Slot& slot, ValueStage stage);
 
-    void emitValue(const Slot& slot, ValueStage stage);
+    void redirect(std::uint32_t target);
+    /// Dense per-site counters of the branch at `pc`, for a caller about to
+    /// count one execution of it; an out-of-text PC (a corrupted BIT
+    /// target) counts straight into stats_.branchSites.
+    BranchSiteStats& site(std::uint32_t pc);
     [[nodiscard]] std::uint32_t exOccupancy(Op op) const;
     void traceLatches();  ///< record end-of-cycle stage occupancy (tracing)
 
@@ -231,6 +264,8 @@ private:
     BranchPredictor& predictor_;
     PipelineConfig config_;
     FetchCustomizer* customizer_;
+    AsbrUnit* asbr_ = nullptr;  ///< customizer_ as its concrete type, if ASBR
+    ValueStage capture_ = ValueStage::kCommit;  ///< customizer's captureStage()
 
     Cache icache_;
     Cache dcache_;
@@ -238,8 +273,16 @@ private:
     ArchState state_;
     IoContext io_;
     PipelineStats stats_;
+    /// Per-site branch counters, one per text word; copied into
+    /// stats_.branchSites at the end of every run().
+    std::vector<BranchSiteStats> sites_;
+    std::vector<std::uint32_t> executedSites_;  ///< sites_ indices with execs > 0
 
-    Slot ifId_, idEx_, exMem_, memWb_;
+    std::array<Slot, 4> slots_{};
+    Slot* ifId_ = &slots_[0];
+    Slot* idEx_ = &slots_[1];
+    Slot* exMem_ = &slots_[2];
+    Slot* memWb_ = &slots_[3];
     std::array<DecodedOp, 8> injected_{};  ///< ring backing injected decodes
     std::uint32_t injectedIdx_ = 0;
     std::uint64_t commitLimit_ = 0;  ///< absolute committed-count bound (0 = none)

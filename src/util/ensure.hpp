@@ -10,13 +10,24 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace asbr {
 
 /// Thrown when a library precondition or internal invariant is violated.
+/// what() is the full diagnostic; message() is only the human-readable
+/// reason, without the failed check's source spelling or file.
 class EnsureError : public std::logic_error {
 public:
-    explicit EnsureError(const std::string& what) : std::logic_error(what) {}
+    explicit EnsureError(const std::string& what)
+        : std::logic_error(what), message_(what) {}
+    EnsureError(const std::string& what, std::string message)
+        : std::logic_error(what), message_(std::move(message)) {}
+
+    [[nodiscard]] const std::string& message() const { return message_; }
+
+private:
+    std::string message_;
 };
 
 /// Thrown when a simulation exceeds its cycle/instruction watchdog bound.
@@ -60,16 +71,17 @@ public:
 }
 
 namespace detail {
-/// The message names the check's source file by base name only — no
-/// directory and no line — so recorded failures (fault-report `detail`
-/// strings) do not depend on the checkout path or shift with unrelated edits.
+/// what() names the failed check's expression and its source file by base
+/// name only — no directory and no line — so it does not depend on the
+/// checkout path.  message() carries the reason alone: fault reports record
+/// it as their `detail`, so rewording or moving a check leaves them intact.
 [[noreturn]] inline void ensureFail(const char* expr, std::string_view file,
                                     const std::string& msg) {
     file.remove_prefix(file.find_last_of('/') + 1);
     std::ostringstream os;
     os << "ASBR_ENSURE failed: (" << expr << ") in " << file;
     if (!msg.empty()) os << " — " << msg;
-    throw EnsureError(os.str());
+    throw EnsureError(os.str(), msg.empty() ? "ASBR_ENSURE failed" : msg);
 }
 }  // namespace detail
 

@@ -83,6 +83,52 @@ TEST(BitTest, LookupActiveBankOnly) {
     EXPECT_NE(bit.lookup(0x3000), nullptr);
 }
 
+// The BIT rejects most PCs with a 64-bit filter of (pc / 4) mod 64; a PC
+// fault flip must move the entry's filter bit with it.  Bit 2 moves the PC
+// to another filter bit; bit 8 keeps it on the same one (0x100 / 4 is a
+// multiple of 64), so only the full compare tells the PCs apart.
+TEST(BitTest, PcFlipMatchesTheNewPcOnly) {
+    for (const unsigned flipped : {2u, 8u, 31u}) {
+        BranchIdentificationTable bit(4, 1);
+        bit.loadBank(0, {{0x1000, 5, Cond::kNez, 0x2000, {}, {}},
+                         {0x1010, 6, Cond::kEqz, 0x2000, {}, {}}});
+        bit.flipEntryBit(0, 0, BitField::kPc, flipped);
+        const std::uint32_t moved = 0x1000u ^ (1u << flipped);
+        ASSERT_NE(bit.lookup(moved), nullptr) << "bit " << flipped;
+        EXPECT_EQ(bit.lookup(moved)->pc, moved);
+        EXPECT_EQ(bit.lookup(0x1000), nullptr) << "bit " << flipped;
+        EXPECT_NE(bit.lookup(0x1010), nullptr) << "bit " << flipped;
+        // Protected lookup: the moved entry is found, fails parity and is
+        // scrubbed; the old PC is simply absent.
+        bool recovered = false;
+        EXPECT_EQ(bit.lookupProtected(0x1000, recovered), nullptr);
+        EXPECT_FALSE(recovered);
+        EXPECT_EQ(bit.lookupProtected(moved, recovered), nullptr);
+        EXPECT_TRUE(recovered) << "bit " << flipped;
+    }
+}
+
+TEST(BitTest, BankSwitchMatchesOnlyTheNewBanksPcs) {
+    BranchIdentificationTable bit(4, 3);
+    const std::vector<std::vector<std::uint32_t>> banks = {
+        {0x1000, 0x1004, 0x1100},  // 0x1100 shares 0x1000's filter bit
+        {0x2008, 0x200C},
+        {}};
+    for (std::size_t b = 0; b < banks.size(); ++b) {
+        std::vector<BranchInfo> entries;
+        for (const std::uint32_t pc : banks[b])
+            entries.push_back({pc, 5, Cond::kNez, 0x3000, {}, {}});
+        bit.loadBank(b, entries);
+    }
+    for (const std::size_t active : {1u, 0u, 2u, 1u}) {
+        bit.selectBank(active);
+        for (std::size_t b = 0; b < banks.size(); ++b)
+            for (const std::uint32_t pc : banks[b])
+                EXPECT_EQ(bit.lookup(pc) != nullptr, b == active)
+                    << "pc " << pc << " with bank " << active << " active";
+    }
+}
+
 TEST(BitTest, CapacityEnforced) {
     BranchIdentificationTable bit(2);
     std::vector<BranchInfo> three(3);

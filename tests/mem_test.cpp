@@ -1,6 +1,9 @@
 // Unit tests for main memory and the cache timing model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "asm/assembler.hpp"
 #include "mem/cache.hpp"
 #include "mem/memory.hpp"
@@ -147,6 +150,90 @@ TEST(CacheTest, SequentialSweepMissesOncePerLine) {
         for (std::uint32_t addr = 0; addr < 8192; addr += 4) c.access(addr);
         EXPECT_EQ(c.stats().misses, 8192u / 32u) << "assoc " << assoc;
     }
+}
+
+/// True-LRU reference: per set, resident line tags from most to least
+/// recently used.
+class ReferenceLru {
+public:
+    explicit ReferenceLru(const CacheConfig& config)
+        : config_(config), sets_(config.numSets()) {}
+
+    std::uint32_t access(std::uint32_t addr) {
+        ++accesses;
+        const std::uint32_t line = addr / config_.lineBytes;
+        std::vector<std::uint32_t>& set = sets_[line % config_.numSets()];
+        const std::uint32_t tag = line / config_.numSets();
+        const auto hit = std::find(set.begin(), set.end(), tag);
+        if (hit != set.end()) {
+            set.erase(hit);
+            set.insert(set.begin(), tag);
+            return 0;
+        }
+        ++misses;
+        if (set.size() == config_.assoc) set.pop_back();
+        set.insert(set.begin(), tag);
+        return config_.missPenalty;
+    }
+
+    void reset() {
+        for (std::vector<std::uint32_t>& set : sets_) set.clear();
+        accesses = misses = 0;
+    }
+
+    std::uint64_t accesses = 0;
+    std::uint64_t misses = 0;
+
+private:
+    CacheConfig config_;
+    std::vector<std::vector<std::uint32_t>> sets_;
+};
+
+// Property: the cache is exactly true LRU, access for access, including the
+// re-hits of the most recently used line that return early.  Streams mix
+// runs inside one line with jumps across a working set larger than the
+// cache, so every geometry sees hits, conflict misses and evictions; a
+// reset() midway must forget the early-return line as well.
+TEST(CacheTest, MatchesReferenceLruAccessForAccess) {
+    for (const std::uint32_t assoc : {1u, 2u, 4u, 8u}) {
+        for (const std::uint64_t seed : {1u, 2u, 3u}) {
+            const CacheConfig config{2048, 32, assoc, 7};
+            Cache cache(config);
+            ReferenceLru reference(config);
+            Xorshift64 rng(seed * 16 + assoc);
+            for (int phase = 0; phase < 2; ++phase) {
+                for (int step = 0; step < 4000; ++step) {
+                    const std::uint32_t line =
+                        static_cast<std::uint32_t>(rng.below(192));
+                    const std::uint64_t run = 1 + rng.below(6);
+                    for (std::uint64_t i = 0; i < run; ++i) {
+                        const std::uint32_t addr =
+                            line * 32 + 4 * static_cast<std::uint32_t>(
+                                                rng.below(8));
+                        ASSERT_EQ(cache.access(addr), reference.access(addr))
+                            << "assoc " << assoc << " seed " << seed
+                            << " phase " << phase << " step " << step;
+                    }
+                }
+                EXPECT_EQ(cache.stats().accesses, reference.accesses);
+                EXPECT_EQ(cache.stats().misses, reference.misses);
+                EXPECT_GT(reference.misses, 0u);
+                EXPECT_LT(reference.misses, reference.accesses);
+                cache.reset();
+                reference.reset();
+            }
+        }
+    }
+}
+
+TEST(CacheTest, ResetForgetsTheMostRecentLine) {
+    Cache c({1024, 32, 2, 10});
+    EXPECT_EQ(c.access(0x40), 10u);
+    EXPECT_EQ(c.access(0x44), 0u);  // same line: early return
+    c.reset();
+    EXPECT_EQ(c.access(0x48), 10u);  // the line is gone after reset
+    EXPECT_EQ(c.stats().accesses, 1u);
+    EXPECT_EQ(c.stats().misses, 1u);
 }
 
 // Property: a random access stream against a small cache never reports more

@@ -15,12 +15,14 @@
 #include "bp/registry.hpp"
 #include "bp/tage.hpp"
 #include "cc/compile.hpp"
+#include "driver/artifacts.hpp"
 #include "driver/cli.hpp"
 #include "driver/engine.hpp"
 #include "driver/names.hpp"
 #include "profile/profiler.hpp"
 #include "profile/selection.hpp"
 #include "report/report.hpp"
+#include "sim/functional.hpp"
 #include "util/metrics.hpp"
 #include "workloads/workloads.hpp"
 
@@ -189,6 +191,85 @@ TEST(TagePredictorTest, ResetRestoresColdState) {
     tage->reset();
     const std::uint64_t again = mispredictsOnPattern(*tage, pattern, 400, 400);
     EXPECT_EQ(cold, again) << "reset() did not restore the cold state";
+}
+
+/// One resolved conditional branch of an ISS run.
+struct BranchEvent {
+    std::uint32_t pc = 0;
+    bool taken = false;
+    std::uint32_t target = 0;
+};
+
+/// The conditional-branch stream of a small G.721 encode on the ISS.
+const std::vector<BranchEvent>& codecBranchStream() {
+    static const std::vector<BranchEvent> stream = [] {
+        const driver::Prepared prepared =
+            driver::prepare(BenchId::kG721Encode, true, 2001, 300);
+        Memory memory = driver::makeMemory(prepared);
+        FunctionalSim sim(prepared.program, memory);
+        std::vector<BranchEvent> events;
+        sim.setTraceHook([&](const Instruction&, const StepResult& sr) {
+            if (sr.isBranch)
+                events.push_back({sr.pc, sr.branchTaken, sr.branchTarget});
+        });
+        EXPECT_TRUE(sim.run().exited);
+        return events;
+    }();
+    return stream;
+}
+
+TEST(TagePredictorTest, CodecStreamReplayMatchesPinnedCounters) {
+    // Values pinned from the fold-per-lookup implementation; the
+    // incrementally folded history must reproduce every one of them.
+    struct Pinned {
+        const char* token;
+        std::uint64_t mispredicts;
+        std::uint64_t providerBase, providerTagged, allocations,
+            allocFailures, usefulDecays;
+        std::vector<std::uint64_t> tableHits;
+    };
+    const Pinned pinned[] = {
+        {"tage", 4120, 49349, 45077, 2825, 329, 0,
+         {16983, 12915, 11118, 4061}},
+        {"tage:h4-8-e256-t7", 6783, 42196, 52230, 529, 123, 0, {9744, 42486}},
+        {"tage:h5-13-29-47-64-e1024-t11-d4096", 3915, 45027, 49399, 2922, 47,
+         23, {15747, 16878, 8864, 4125, 3785}},
+    };
+    const std::vector<BranchEvent>& stream = codecBranchStream();
+    ASSERT_GT(stream.size(), 10'000u);
+    for (const Pinned& want : pinned) {
+        auto predictor = PredictorRegistry::instance().make(want.token);
+        ASSERT_NE(predictor, nullptr) << want.token;
+        auto* tage = dynamic_cast<TagePredictor*>(predictor.get());
+        ASSERT_NE(tage, nullptr) << want.token;
+        std::uint64_t mispredicts = 0;
+        for (const BranchEvent& e : stream) {
+            const Prediction p = tage->predict(e.pc);
+            const std::uint32_t next =
+                p.effectiveTaken() ? *p.target : e.pc + kInstrBytes;
+            if (next != (e.taken ? e.target : e.pc + kInstrBytes))
+                ++mispredicts;
+            tage->update(e.pc, e.taken, e.target);
+        }
+        MetricRegistry registry;
+        tage->publishFamilyMetrics(registry);
+        const auto counter = [&](const char* name) {
+            const Counter* c = registry.findCounter(name);
+            return c != nullptr ? c->value() : ~0ull;
+        };
+        EXPECT_EQ(mispredicts, want.mispredicts) << want.token;
+        EXPECT_EQ(counter("bp.tage.provider_base"), want.providerBase)
+            << want.token;
+        EXPECT_EQ(counter("bp.tage.provider_tagged"), want.providerTagged)
+            << want.token;
+        EXPECT_EQ(counter("bp.tage.allocations"), want.allocations)
+            << want.token;
+        EXPECT_EQ(counter("bp.tage.alloc_failures"), want.allocFailures)
+            << want.token;
+        EXPECT_EQ(counter("bp.tage.useful_decays"), want.usefulDecays)
+            << want.token;
+        EXPECT_EQ(tage->tableHits(), want.tableHits) << want.token;
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -114,8 +114,8 @@ struct OneShotBtiFold final : FetchCustomizer {
         return FoldOutcome{replacement, replacementPc, true};
     }
     void onProducerDecoded(std::uint8_t) override {}
-    void onValueAvailable(std::uint8_t, std::int32_t, ValueStage,
-                          ValueStage) override {}
+    ValueStage captureStage() const override { return ValueStage::kCommit; }
+    void onValueAvailable(std::uint8_t, std::int32_t) override {}
     void reset() override {
         armed = true;
         folds = 0;
@@ -165,8 +165,8 @@ struct EveryFetchNopFold final : FetchCustomizer {
         return FoldOutcome{Instruction{}, pc, false};
     }
     void onProducerDecoded(std::uint8_t) override {}
-    void onValueAvailable(std::uint8_t, std::int32_t, ValueStage,
-                          ValueStage) override {}
+    ValueStage captureStage() const override { return ValueStage::kCommit; }
+    void onValueAvailable(std::uint8_t, std::int32_t) override {}
     void reset() override { folds = 0; }
 };
 
