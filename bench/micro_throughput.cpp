@@ -13,6 +13,8 @@
 #include "bp/perceptron.hpp"
 #include "bp/tage.hpp"
 #include "cc/compile.hpp"
+#include "driver/artifacts.hpp"
+#include "driver/engine.hpp"
 #include "sim/fast_forward_log.hpp"
 #include "sim/functional.hpp"
 #include "sim/pipeline.hpp"
@@ -112,6 +114,37 @@ void BM_SampledSim(benchmark::State& state) {
         static_cast<double>(instructions), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SampledSim)->Unit(benchmark::kMillisecond);
+
+void BM_SampledSimWithAsbr(benchmark::State& state) {
+    // One sampled ASBR cell as a sweep runs it: ADPCM encode of the same
+    // input size under the driver's --asbr selection (the paper's policy),
+    // default geometry.  The log is recorded once outside the timed loop,
+    // as a sweep shares it across its cells, and only runSampled is timed.
+    driver::SimJob job;
+    job.workload = BenchId::kAdpcmEncode;
+    job.samples = pcmInput().size();
+    job.asbr = true;
+    driver::SimEngine engine;
+    const auto workload = engine.workloadFor(job);
+    const auto selection = engine.selectionFor(job);
+    const driver::Prepared& prepared = workload->prepared();
+    const auto log = workload->fastForwardLog(SamplingConfig{});
+    std::uint64_t instructions = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        Memory mem = driver::makeMemory(prepared);
+        auto bp = makeBimodal2048();
+        const auto unit = selection->makeUnit(false);
+        state.ResumeTiming();
+        const SampledResult result =
+            runSampled(prepared.program, mem, *bp, *log, {}, unit.get());
+        benchmark::DoNotOptimize(result.totalInstructions);
+        instructions += result.totalInstructions;
+    }
+    state.counters["instr/s"] = benchmark::Counter(
+        static_cast<double>(instructions), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SampledSimWithAsbr)->Unit(benchmark::kMillisecond);
 
 template <typename MakePredictor>
 void predictorLoop(benchmark::State& state, MakePredictor make) {

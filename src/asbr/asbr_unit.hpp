@@ -21,6 +21,7 @@
 #include "asbr/bdt.hpp"
 #include "asbr/bit.hpp"
 #include "asbr/static_fold.hpp"
+#include "sim/exec.hpp"
 #include "sim/fetch_customizer.hpp"
 
 namespace asbr {
@@ -172,13 +173,14 @@ public:
         bit_.selectBank(static_cast<std::size_t>(value));
     }
 
-    /// Sampled fast-forward jump (sim/sampling.cpp): set the BDT to the
-    /// state the replayed event stream leaves at an architectural
-    /// checkpoint.  After a drain every register written so far holds the
-    /// direction bits of its current value with a zero counter; registers
-    /// never written keep their reset entry (sp and gp start nonzero without
-    /// a producer, so their entries still say zero).  Any recovery debt is
-    /// dropped, as replayArchStep drops it.
+    /// Sampled fast-forward (sim/sampling.cpp): set the BDT to the state the
+    /// skipped instructions' event stream would leave.  After a drain every
+    /// register written so far holds the direction bits of its current value
+    /// with a zero counter; `writtenRegs` names the registers whose value
+    /// the skip may have changed, and every other entry stays as it is (sp
+    /// and gp start nonzero without a producer, so until written their
+    /// entries still say zero).  Any recovery debt is dropped: a skip has no
+    /// fetch stream to stall.
     void resyncDrained(const ArchState& state, std::uint32_t writtenRegs) {
         for (std::uint8_t r = 0; r < kNumRegs; ++r)
             if (((writtenRegs >> r) & 1u) != 0) bdt_.resync(r, state.reg(r));
@@ -227,7 +229,7 @@ private:
     /// the entry is quarantined, a recovery is counted and the scrub penalty
     /// is queued.  Returns false when the entry must not be used this access.
     /// Inline so the unprotected configuration folds to a single compare on
-    /// the replay hot path.
+    /// the pipeline's hot path.
     [[nodiscard]] bool bdtGate(std::uint8_t reg) {
         if (!config_.parityProtected) return true;
         if (bdt_.isQuarantined(reg)) return false;

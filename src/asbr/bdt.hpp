@@ -10,12 +10,15 @@
 //
 // Robustness (docs/fault-injection.md): every entry carries one even-parity
 // bit over its condition bits and validity counter, maintained by all
-// legitimate writes.  The fault-injection port (`flip*`) corrupts stored
-// state *without* fixing parity, exactly like a radiation-induced bit flip;
-// in the ASBR unit's protected mode a parity mismatch quarantines the entry,
-// which permanently (for the run) disables folding on that register — the
-// branch falls back to the general predictor path, preserving architectural
-// correctness at a graceful fold-coverage cost.
+// legitimate writes.  Only the protected unit ever reads it, so the model
+// keeps what the check needs instead of the bit — the contents it was
+// computed over (Entry::check) — and computes parity in parityOk() alone.
+// The fault-injection port (`flip*`) corrupts stored state *without* fixing
+// parity, exactly like a radiation-induced bit flip; in the ASBR unit's
+// protected mode a parity mismatch quarantines the entry, which permanently
+// (for the run) disables folding on that register — the branch falls back
+// to the general predictor path, preserving architectural correctness at a
+// graceful fold-coverage cost.
 #pragma once
 
 #include <array>
@@ -45,7 +48,7 @@ public:
         ASBR_ENSURE(e.pending > 0, "BDT: update without pending producer");
         --e.pending;
         e.bits = condMask(value);
-        e.parity = computeParity(e);
+        e.check = contents(e);
     }
 
     /// A producer of `r` completed decode; direction bits for `r` are stale
@@ -60,7 +63,7 @@ public:
                     "BDT: validity counter saturated (producer tracking "
                     "desynchronized)");
         ++e.pending;
-        e.parity = computeParity(e);
+        e.check = contents(e);
     }
 
     /// Set entry `r` to its drained state for `value`: the direction bits of
@@ -74,7 +77,7 @@ public:
         if (e.quarantined) return;
         ASBR_ENSURE(e.pending == 0, "BDT: resync with a producer in flight");
         e.bits = condMask(value);
-        e.parity = computeParity(e);
+        e.check = contents(e);
     }
 
     /// True when no producer of `r` is in flight (folding is legal).
@@ -99,10 +102,13 @@ public:
     }
 
     /// Parity check of entry `r` — true when the stored parity bit matches
-    /// the entry contents (no detectable corruption).
+    /// the entry contents (no detectable corruption).  The stored bit is
+    /// the parity of `check`, so the two match exactly when the contents
+    /// differ from `check` in an even number of bits.
     [[nodiscard]] bool parityOk(std::uint8_t r) const {
         ASBR_ENSURE(r < kNumRegs, "BDT: bad register");
-        return entries_[r].parity == computeParity(entries_[r]);
+        const Entry& e = entries_[r];
+        return !oddParity(static_cast<unsigned>(contents(e) ^ e.check));
     }
 
     /// Take entry `r` out of service for the rest of the run (protected-mode
@@ -137,7 +143,7 @@ public:
     /// Fault-injection port: flip the parity bit itself.
     void flipParityBit(std::uint8_t r) {
         ASBR_ENSURE(r < kNumRegs, "BDT: bad register");
-        entries_[r].parity = !entries_[r].parity;
+        entries_[r].check ^= kParityFlip;
     }
 
     /// All registers valid with value 0 (machine reset state).
@@ -146,7 +152,7 @@ public:
             e.pending = 0;
             e.quarantined = false;
             e.bits = condMask(0);
-            e.parity = computeParity(e);
+            e.check = contents(e);
         }
     }
 
@@ -162,15 +168,29 @@ public:
 private:
     /// Direction bits are packed as a mask, bit c = evalCond(Cond(c), value)
     /// — same contents as the paper's per-condition bit vector, but a
-    /// single-byte update/parity on the hot BDT-event path (the pipeline
-    /// and the sampled fast-forward stepper fire these events for every
-    /// value-producing instruction).
+    /// single-byte update on the hot BDT-event path (the pipeline fires these
+    /// events for every value-producing instruction).
     struct Entry {
         std::uint8_t bits = 0;     ///< per-condition direction bits
         std::uint8_t pending = 0;  ///< 3-bit validity counter
-        bool parity = false;       ///< even parity over bits + pending
+        /// The stored parity bit, kept as the contents it was computed over
+        /// at the last legitimate write (bits ^ pending, whose parity is the
+        /// parity of both fields), plus kParityFlip toggled by every flip of
+        /// the parity bit since.  A legitimate write rewrites it, as the
+        /// hardware recomputes its parity bit.
+        std::uint8_t check = 0;
         bool quarantined = false;  ///< protected-mode: entry out of service
     };
+
+    /// A bit of `check` the contents never set: kNumConds condition bits
+    /// XOR a 3-bit counter stay below it.
+    static constexpr std::uint8_t kParityFlip = 0x80;
+    static_assert(kNumConds < 7, "condition bits must stay below kParityFlip");
+
+    /// What the parity bit covers: the condition bits and the counter.
+    [[nodiscard]] static std::uint8_t contents(const Entry& e) {
+        return static_cast<std::uint8_t>(e.bits ^ e.pending);
+    }
 
     /// evalCond over every condition at once; constexpr evalCond folds this
     /// into a handful of branchless flag computations.
@@ -182,13 +202,11 @@ private:
         return mask;
     }
 
-    /// Even parity over the condition bits and the counter: XOR-fold both
-    /// (they fit in one byte) down to a nibble, then read that nibble's
-    /// parity out of the 16-entry constant 0x6996.  Not std::popcount:
-    /// without a popcount instruction in the target ISA that is a library
-    /// call per BDT event.
-    [[nodiscard]] static bool computeParity(const Entry& e) {
-        unsigned x = static_cast<unsigned>(e.bits ^ e.pending);
+    /// Odd parity of a byte: XOR-fold it to a nibble, then read that
+    /// nibble's parity out of the 16-entry constant 0x6996.  Not
+    /// std::popcount: without a popcount instruction in the target ISA that
+    /// is a library call.
+    [[nodiscard]] static bool oddParity(unsigned x) {
         x ^= x >> 4;
         return ((0x6996u >> (x & 0xFu)) & 1u) != 0;
     }

@@ -1,5 +1,8 @@
 #include "mem/memory.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "isa/encoding.hpp"
 #include "util/ensure.hpp"
 
@@ -22,8 +25,21 @@ Memory::Page& Memory::pageFor(std::uint32_t tag) {
 }
 
 void Memory::writeBlock(std::uint32_t addr, std::span<const std::uint8_t> bytes) {
-    for (std::size_t i = 0; i < bytes.size(); ++i)
-        write8(addr + static_cast<std::uint32_t>(i), bytes[i]);
+    while (!bytes.empty()) {
+        const std::uint32_t offset = addr & kOffsetMask;
+        const std::size_t n =
+            std::min<std::size_t>(kPageSize - offset, bytes.size());
+        const std::span<const std::uint8_t> chunk = bytes.first(n);
+        const std::uint32_t tag = addr >> kPageBits;
+        // An absent page already reads as zero, so an all-zero chunk leaves
+        // it absent: a data segment's `.space` costs no page until written.
+        static constexpr Page kZeroPage{};
+        if (findPage(tag) != nullptr ||
+            std::memcmp(chunk.data(), kZeroPage.data(), n) != 0)
+            std::memcpy(pageFor(tag).data() + offset, chunk.data(), n);
+        bytes = bytes.subspan(n);
+        addr += static_cast<std::uint32_t>(n);
+    }
 }
 
 void Memory::readBlock(std::uint32_t addr, std::span<std::uint8_t> out) const {

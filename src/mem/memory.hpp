@@ -69,7 +69,9 @@ public:
         page[off + 3] = static_cast<std::uint8_t>((value >> 24) & 0xFF);
     }
 
-    /// Bulk helpers.
+    /// Bulk helpers.  writeBlock copies a page-sized chunk at a time and
+    /// allocates no page for an all-zero chunk: an absent page reads as
+    /// zero.
     void writeBlock(std::uint32_t addr, std::span<const std::uint8_t> bytes);
     void readBlock(std::uint32_t addr, std::span<std::uint8_t> out) const;
 

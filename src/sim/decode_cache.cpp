@@ -52,12 +52,9 @@ DecodedOp decodeOne(const Instruction& ins, std::uint32_t pc) {
 void DecodeCache::bind(const Program& program) {
     program_ = &program;
     textBase_ = program.textBase;
+    textBytes_ = program.textEnd() - program.textBase;
     slots_.assign(program.code.size(), DecodedOp{});
     filled_.assign(program.code.size(), 0);
-}
-
-void DecodeCache::invalidate() {
-    filled_.assign(filled_.size(), 0);
 }
 
 void DecodeCache::fill(std::size_t index, std::uint32_t pc) {

@@ -11,10 +11,10 @@
 // reload can never serve stale micro-ops.
 //
 // Correctness contract: a DecodedOp is a pure function of (instruction word,
-// decode-time PC).  Executing a record via stepDecoded() is bit-identical to
-// decoding and executing the raw instruction at the same PC — exec.cpp's
-// step() is literally implemented as decodeOne() + stepDecoded(), so the
-// cached and uncached paths share one semantics implementation.
+// decode-time PC), and a cache fill is decodeOne() of the word at that PC —
+// the same function the pipeline uses for the records it decodes outside the
+// cache — so cached and uncached records share one semantics implementation,
+// stepDecoded().
 #pragma once
 
 #include <cstdint>
@@ -71,7 +71,7 @@ struct DecodedOp {
 
 /// Lazily-filled decode cache over one program's text segment, keyed by
 /// fetch address.  One slot per instruction word; a fill happens at most
-/// once per PC until the cache is rebound or invalidated.
+/// once per PC until the cache is rebound.
 class DecodeCache {
 public:
     DecodeCache() = default;
@@ -89,17 +89,16 @@ public:
     /// previous image are discarded, never served.
     void bind(const Program& program);
 
-    /// Drop every cached record (slots refill lazily on next lookup).
-    void invalidate();
-
     /// The record for a text-segment PC, filling the slot on first use.
-    /// Inline: this is the per-fetch hot path of both simulators; the
-    /// steady-state trip is two bounds checks and an indexed read.
+    /// Inline: this is the per-fetch hot path of both simulators and every
+    /// functional walk; the steady-state trip is one bounds check against
+    /// the cache's own copy of the text extent (an unbound cache has none)
+    /// and an indexed read.
     const DecodedOp& lookup(std::uint32_t pc) {
-        ASBR_ENSURE(program_ != nullptr, "decode cache lookup before bind()");
-        ASBR_ENSURE(program_->inText(pc),
-                    "decode cache lookup outside the text segment");
-        const std::size_t index = (pc - textBase_) / kInstrBytes;
+        const std::uint32_t offset = pc - textBase_;
+        ASBR_ENSURE(offset < textBytes_ && offset % kInstrBytes == 0,
+                    "decode cache lookup outside the bound program's text");
+        const std::size_t index = offset / kInstrBytes;
         ++stats_.lookups;
         if (filled_[index] == 0) fill(index, pc);
         return slots_[index];
@@ -113,6 +112,7 @@ private:
 
     const Program* program_ = nullptr;
     std::uint32_t textBase_ = 0;
+    std::uint32_t textBytes_ = 0;  ///< 0 until bound
     std::vector<DecodedOp> slots_;
     std::vector<std::uint8_t> filled_;
     Stats stats_;

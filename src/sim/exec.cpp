@@ -27,10 +27,4 @@ void doSyscall(ArchState& state, IoContext& io) {
 
 }  // namespace exec_detail
 
-StepResult step(ArchState& state, Memory& memory, const Instruction& ins,
-                IoContext& io, std::optional<std::uint32_t> overridePc) {
-    return stepDecoded(state, memory, decodeOne(ins, overridePc.value_or(state.pc)),
-                       io);
-}
-
 }  // namespace asbr

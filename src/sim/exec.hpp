@@ -4,9 +4,7 @@
 // instructions through one semantics implementation, stepDecoded(), which
 // dispatches directly on a pre-decoded micro-op record (sim/decode_cache.hpp)
 // — so they are functionally equivalent by construction and the pipeline
-// layers *timing* on top.  step() is the convenience wrapper that decodes
-// and executes in one call.  Differential tests assert the equivalence
-// anyway.
+// layers *timing* on top.  Differential tests assert the equivalence anyway.
 #pragma once
 
 #include <array>
@@ -141,11 +139,12 @@ void doSyscall(ArchState& state, IoContext& io);  // cold path: exec.cpp
 /// (including state.pc) and io, and describe it in `r` (every field is
 /// overwritten).  The record's decode-time PC is the execution PC — all
 /// control-flow targets were resolved against it.  This is THE semantics
-/// implementation; step() and the decode-cached hot paths all land here.
+/// implementation; every simulator and functional walk lands here.
 /// Inline: it sits on the per-instruction hot path of both simulators and
-/// the sampled fast-forward loop.  The pipeline executes straight into its
-/// EX latch through this overload; always_inline because the pipeline's
-/// cycle loop is large enough that GCC otherwise keeps this as a call.
+/// every functional walk (sim/functional.hpp).  The pipeline executes
+/// straight into its EX latch through this overload; always_inline because
+/// the pipeline's cycle loop is large enough that GCC otherwise keeps this
+/// as a call.
 [[gnu::always_inline]] inline void stepDecoded(ArchState& state,
                                                Memory& memory,
                                                const DecodedOp& dec,
@@ -259,13 +258,5 @@ inline StepResult stepDecoded(ArchState& state, Memory& memory,
     stepDecoded(state, memory, dec, io, r);
     return r;
 }
-
-/// Execute one instruction at state.pc against memory, updating state
-/// (including state.pc) and io.  `overridePc`, when set, executes the
-/// instruction as if it were located at that address (used for folded branch
-/// target instructions injected by the ASBR unit).  Implemented as
-/// decodeOne() + stepDecoded().
-StepResult step(ArchState& state, Memory& memory, const Instruction& ins,
-                IoContext& io, std::optional<std::uint32_t> overridePc = {});
 
 }  // namespace asbr

@@ -7,6 +7,7 @@
 
 #include "asbr/asbr_unit.hpp"
 #include "sim/decode_cache.hpp"
+#include "sim/functional.hpp"
 #include "util/ensure.hpp"
 
 namespace asbr {
@@ -119,28 +120,23 @@ FastForwardLog FastForwardLog::record(const Program& program, Memory& memory,
         while (position < end && !io.exited) {
             const std::uint64_t stop =
                 position + std::min(kPollInterval, end - position);
-            for (; position < stop && !io.exited; ++position) {
-                // The walk takes what it records from the decoded record and
-                // the registers rather than from the StepResult: left
-                // unused, the result is dead code once stepDecoded inlines,
-                // and reading it back slowed the walk by a quarter or more on
-                // adpcm-enc.  writesDest is exactly "a register other than r0
-                // is written"; a store writes no register, so rs and rt still
-                // hold its base address and value.
-                const DecodedOp& dec = decode.lookup(state.pc);
-                stepDecoded(state, memory, dec, io);
-                written |= static_cast<std::uint32_t>(dec.writesDest)
-                           << dec.dest;
-                if (dec.store) {
-                    const std::uint32_t addr =
-                        static_cast<std::uint32_t>(state.reg(dec.ins.rs)) +
-                        static_cast<std::uint32_t>(dec.ins.imm);
-                    dirty.mark(addr);
-                    if (addr == kBitBankSelectAddr)
-                        log.bankSelects_.push_back(
-                            {position, state.reg(dec.ins.rt)});
-                }
-            }
+            std::uint64_t at = position;  // position of the next instruction
+            position += walk(
+                decode, state, memory, io, stop - position,
+                [&](const DecodedOp& dec, const ArchState& now) {
+                    // writesDest is exactly "a register other than r0 is
+                    // written".
+                    written |= static_cast<std::uint32_t>(dec.writesDest)
+                               << dec.dest;
+                    if (dec.store) {
+                        const std::uint32_t addr = storeAddress(dec, now);
+                        dirty.mark(addr);
+                        if (addr == kBitBankSelectAddr)
+                            log.bankSelects_.push_back(
+                                {at, now.reg(dec.ins.rt)});
+                    }
+                    ++at;
+                });
             if (poll) poll();
         }
         if (!io.exited && position == maxInstructions)

@@ -11,7 +11,6 @@
 #include <optional>
 
 #include "isa/isa.hpp"
-#include "sim/exec.hpp"
 
 namespace asbr {
 
@@ -21,29 +20,6 @@ namespace asbr {
 ///   kMemEnd — forwarding path right after execute (threshold 3)
 ///   kCommit — register commit / writeback (baseline, threshold 4)
 enum class ValueStage : std::uint8_t { kExEnd = 0, kMemEnd = 1, kCommit = 2 };
-
-/// Replay, architecturally, the customizer event stream one instruction
-/// generates on its way down the pipeline: producer registration at ID, the
-/// one value event at the customizer's capture stage, and the store port.
-/// With zero instruction overlap this is exactly the in-order event
-/// sequence, so BDT validity counters return to zero after every instruction
-/// and direction bits track architectural values bit-for-bit.
-///
-/// This is THE definition of the per-instruction event stream — sampled
-/// simulation's fast-forward stepper replays it into the ASBR unit for the
-/// instructions it executes between detailed windows.  It is a template so
-/// that a `final` customizer class (AsbrUnit) gets every inner hook
-/// devirtualized and inlined.
-template <class Customizer>
-inline void replayArchStep(Customizer& customizer, const DecodedOp& dec,
-                           const StepResult& sr) {
-    if (dec.writesDest) customizer.onProducerDecoded(dec.dest);
-    if (sr.write) customizer.onValueAvailable(sr.write->reg, sr.write->value);
-    if (sr.isStoreOp) customizer.onStore(sr.memAddr, sr.storeValue);
-    // There is no fetch stream to stall during a replay; drain any
-    // parity-recovery debt so it cannot leak into later pipeline timing.
-    (void)customizer.takeRecoveryStall();
-}
 
 class FetchCustomizer {
 public:

@@ -5,6 +5,7 @@
 
 #include "asbr/asbr_unit.hpp"
 #include "sim/fast_forward_log.hpp"
+#include "sim/functional.hpp"
 #include "util/ensure.hpp"
 #include "util/metrics.hpp"
 
@@ -16,10 +17,19 @@ namespace {
 /// (instructions executed since reset; `to` is at most the exit).  When a
 /// checkpoint of `log` lies in (from, to], the cell jumps to the last one:
 /// it applies the word runs of every interval it crosses, replays the
-/// crossed bank-select stores, resyncs the drained BDT and loads the
-/// checkpoint's registers and output prefix.  Either way it then steps the
-/// remaining distance on its own ISS, replaying each instruction's event
-/// stream into the unit.
+/// crossed bank-select stores and loads the checkpoint's registers and
+/// output prefix.  Either way it then steps the remaining distance, its
+/// drift, on the bare ISS, passing the unit only the bank-select stores it
+/// executes, and resyncs the unit's drained BDT once at the end.
+///
+/// One resync is exact.  The window before the skip drained, so every
+/// validity counter is zero and every register written since reset holds
+/// the direction bits of its current value; the per-instruction event stream
+/// would leave each register the drift writes with the bits of its last
+/// value and a zero counter, and every other entry as it was.  So the resync
+/// covers the registers the drift writes, plus, after a jump, every register
+/// written before the checkpoint; the rest keep the entry the cell already
+/// holds, which a jump does not change.
 void fastForward(const FastForwardLog& log, AsbrUnit* unit,
                  DecodeCache& decode, ArchState& state, Memory& memory,
                  IoContext& io, std::uint64_t from, std::uint64_t to) {
@@ -30,6 +40,7 @@ void fastForward(const FastForwardLog& log, AsbrUnit* unit,
                                  : to / spacing;
     const FastForwardLog::Checkpoint& checkpoint = log.checkpoints()[last];
     std::uint64_t position = from;
+    std::uint32_t written = 0;  // registers whose BDT entries must resync
     if (checkpoint.position > from) {
         for (std::size_t k = from / spacing; k < last; ++k)
             log.applyInterval(k, memory);
@@ -38,18 +49,21 @@ void fastForward(const FastForwardLog& log, AsbrUnit* unit,
             for (const FastForwardLog::BankSelect& store :
                  log.bankSelects(from, position))
                 unit->onStore(kBitBankSelectAddr, store.value);
-            unit->resyncDrained(checkpoint.state, checkpoint.writtenRegs);
         }
+        written = checkpoint.writtenRegs;
         state = checkpoint.state;
         io.output.assign(log.output(), 0, checkpoint.outputLength);
         io.exited = position == log.instructions();
         io.exitCode = io.exited ? log.exitCode() : 0;
     }
-    for (; position < to; ++position) {
-        const DecodedOp& dec = decode.lookup(state.pc);
-        const StepResult sr = stepDecoded(state, memory, dec, io);
-        if (unit != nullptr) replayArchStep(*unit, dec, sr);
-    }
+    walk(decode, state, memory, io, to - position,
+         [&](const DecodedOp& dec, const ArchState& now) {
+             written |= static_cast<std::uint32_t>(dec.writesDest) << dec.dest;
+             if (dec.store && unit != nullptr &&
+                 storeAddress(dec, now) == kBitBankSelectAddr)
+                 unit->onStore(kBitBankSelectAddr, now.reg(dec.ins.rt));
+         });
+    if (unit != nullptr) unit->resyncDrained(state, written);
     ASBR_ENSURE(io.exited == (to == log.instructions()),
                 "sampling: the cell left the fast-forward log's stream");
 }

@@ -6,10 +6,9 @@
 // skip jumps the cell across the workload's shared FastForwardLog
 // (sim/fast_forward_log.hpp) — architectural checkpoints recorded once per
 // workload and window geometry — and steps only the remaining distance on
-// the cell's own ISS, feeding the ASBR unit the same event stream the
-// pipeline would have produced.  ASBR direction bits therefore stay
-// architecturally exact and a sampled run emits the *same program output* as
-// a full run.
+// the cell's own bare ISS, then resyncs the ASBR unit's drained BDT from the
+// register file.  ASBR direction bits therefore stay architecturally exact
+// and a sampled run emits the *same program output* as a full run.
 //
 // The CPI estimate is the ratio estimator over all measured windows
 // (measured cycles / measured instructions); the reported error bound is the

@@ -55,6 +55,57 @@ TEST(BdtParityTest, AnySingleBitFlipBreaksParity) {
     EXPECT_FALSE(bdt.parityOk(4));
 }
 
+TEST(BdtParityTest, AnyDoubleBitFlipEscapesParity) {
+    // One parity bit detects odd numbers of flips only: every pair of the
+    // entry's condition, counter and parity bits cancels out.
+    const auto flip = [](BranchDirectionTable& bdt, int bit) {
+        if (bit < kNumConds)
+            bdt.flipConditionBit(4, static_cast<Cond>(bit));
+        else if (bit < kNumConds + 3)
+            bdt.flipPendingBit(4, static_cast<unsigned>(bit - kNumConds));
+        else
+            bdt.flipParityBit(4);
+    };
+    constexpr int kBits = kNumConds + 3 + 1;
+    for (int a = 0; a < kBits; ++a) {
+        for (int b = a + 1; b < kBits; ++b) {
+            BranchDirectionTable bdt;
+            bdt.producerDecoded(4);
+            flip(bdt, a);
+            EXPECT_FALSE(bdt.parityOk(4)) << "bit " << a;
+            flip(bdt, b);
+            EXPECT_TRUE(bdt.parityOk(4)) << "bits " << a << ", " << b;
+        }
+    }
+}
+
+TEST(BdtParityTest, LegitimateWriteClearsAnEarlierFlip) {
+    // A legitimate write recomputes the parity bit over what the entry holds
+    // then, so an undetected earlier flip is absorbed, not reported later.
+    BranchDirectionTable bdt;
+    bdt.flipParityBit(3);
+    EXPECT_FALSE(bdt.parityOk(3));
+    bdt.producerDecoded(3);
+    EXPECT_TRUE(bdt.parityOk(3));
+    bdt.flipConditionBit(3, Cond::kLtz);
+    EXPECT_FALSE(bdt.parityOk(3));
+    bdt.update(3, -5);  // rewrites every condition bit and the parity
+    EXPECT_TRUE(bdt.parityOk(3));
+    EXPECT_TRUE(bdt.direction(3, Cond::kLtz));
+    bdt.flipPendingBit(3, 1);  // counter 0 -> 2
+    EXPECT_FALSE(bdt.parityOk(3));
+    bdt.producerDecoded(3);  // counts on from the corrupted value
+    EXPECT_EQ(bdt.pendingCount(3), 3u);
+    EXPECT_TRUE(bdt.parityOk(3));
+    bdt.reset();
+    bdt.flipParityBit(3);
+    bdt.resync(3, 7);
+    EXPECT_TRUE(bdt.parityOk(3));
+    bdt.flipParityBit(3);
+    bdt.reset();
+    EXPECT_TRUE(bdt.parityOk(3));
+}
+
 TEST(BdtParityTest, QuarantineTakesEntryOutOfService) {
     BranchDirectionTable bdt;
     bdt.producerDecoded(6);

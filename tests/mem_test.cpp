@@ -51,6 +51,37 @@ TEST(MemoryTest, CrossPageAccess) {
     EXPECT_EQ(block, out);
 }
 
+TEST(MemoryTest, BlockWriteSkipsOnlyZeroChunksOfAbsentPages) {
+    // Five pages from an unaligned start to an unaligned end: a zero head on
+    // an absent page, a nonzero page, a zero page over a page that already
+    // holds data (it must still be cleared), an absent zero page and a
+    // nonzero tail.
+    constexpr std::uint32_t kBase = 0x1000'0000;
+    constexpr std::uint32_t kStart = kBase + 4096 - 100;
+    std::vector<std::uint8_t> block(4 * 4096 + 300, 0);
+    for (std::size_t i = 100; i < 100 + 4096; ++i)
+        block[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    for (std::size_t i = block.size() - 200; i < block.size(); ++i)
+        block[i] = static_cast<std::uint8_t>(i | 1);
+    Memory m;
+    m.write32(kBase + 2 * 4096 + 8, 0xDEADBEEFu);  // page 2 exists already
+    m.writeBlock(kStart, block);
+    std::vector<std::uint8_t> out(block.size() + 8, 0xAA);
+    m.readBlock(kStart - 4, out);
+    EXPECT_EQ(std::vector<std::uint8_t>(out.begin() + 4, out.end() - 4), block);
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(out[i], 0) << "before the block";
+        EXPECT_EQ(out[out.size() - 1 - i], 0) << "after the block";
+    }
+    // Writing into a page the block left absent, then reading it back.
+    const std::uint32_t elided = kBase + 3 * 4096 + 40;
+    EXPECT_EQ(m.read32(elided), 0u);
+    m.write32(elided, 0x01020304u);
+    EXPECT_EQ(m.read32(elided), 0x01020304u);
+    EXPECT_EQ(m.read32(elided + 4), 0u);
+    EXPECT_EQ(m.read8(kStart + 100), block[100]);
+}
+
 TEST(MemoryTest, AlignmentEnforced) {
     Memory m;
     EXPECT_THROW((void)m.read16(1), EnsureError);

@@ -1,6 +1,7 @@
 // Tests for the branch profiler and the ASBR selection policy.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
 #include <map>
 #include <string>
@@ -9,9 +10,11 @@
 #include "asm/assembler.hpp"
 #include "bp/bimodal.hpp"
 #include "driver/artifacts.hpp"
+#include "driver/names.hpp"
 #include "profile/profiler.hpp"
 #include "profile/selection.hpp"
 #include "program_gen.hpp"
+#include "sim/functional.hpp"
 #include "sim/pipeline.hpp"
 #include "workloads/workloads.hpp"
 
@@ -294,6 +297,133 @@ loop:   addiu s0, s0, -1
         bnez s0, loop
 )") + kExit);
     expectReplayMatchesPipeline(p, programOnly(p), "two-instruction loop");
+}
+
+// ------------------------------------------------ walk-kernel identity ----
+//
+// profileProgram and profilePredictions step through the walk kernel and
+// count into per-text-word arrays.  The references are the trace-hook walks
+// they replaced, which read every fact from the StepResult; both must give
+// the same profiles field for field.
+
+ProgramProfile hookProfile(const Program& program, Memory memory) {
+    ProgramProfile profile;
+    std::array<std::int64_t, kNumRegs> lastDef{};
+    lastDef.fill(-(1LL << 40));
+    std::int64_t index = 0;
+    FunctionalSim sim(program, memory);
+    sim.setTraceHook([&](const Instruction& ins, const StepResult& sr) {
+        if (sr.isBranch) {
+            BranchProfile& bp = profile.branches[sr.pc];
+            bp.pc = sr.pc;
+            ++bp.execs;
+            if (sr.branchTaken) ++bp.taken;
+            const auto distance =
+                static_cast<std::uint64_t>(index - lastDef[ins.rs]);
+            if (distance >= 2) ++bp.distGe2;
+            if (distance >= 3) ++bp.distGe3;
+            if (distance >= 4) ++bp.distGe4;
+            if (distance < bp.minDistance) bp.minDistance = distance;
+        }
+        if (sr.write) lastDef[sr.write->reg] = index;
+        ++index;
+    });
+    profile.instructions = sim.run().instructions;
+    return profile;
+}
+
+PredictionProfile hookPredictions(const Program& program, Memory memory,
+                                  BranchPredictor& predictor) {
+    PredictionProfile profile;
+    profile.predictorToken = predictor.token();
+    predictor.reset();
+    FunctionalSim sim(program, memory);
+    sim.setTraceHook([&](const Instruction&, const StepResult& sr) {
+        if (!sr.isBranch) return;
+        const Prediction prediction = predictor.predict(sr.pc);
+        const std::uint32_t predictedNext =
+            prediction.effectiveTaken() ? *prediction.target : sr.pc + 4;
+        SitePrediction& site = profile.sites[sr.pc];
+        site.pc = sr.pc;
+        ++site.execs;
+        ++profile.branches;
+        if (predictedNext != sr.nextPc) {
+            ++site.mispredicts;
+            ++profile.mispredicts;
+        }
+        predictor.update(sr.pc, sr.branchTaken, sr.branchTarget);
+    });
+    (void)sim.run();
+    return profile;
+}
+
+void expectWalksMatchHookWalks(const Program& p,
+                               const std::function<Memory()>& freshMemory,
+                               const std::string& label) {
+    Memory memory = freshMemory();
+    const ProgramProfile got = profileProgram(p, memory);
+    const ProgramProfile want = hookProfile(p, freshMemory());
+    EXPECT_EQ(got.instructions, want.instructions) << label;
+    ASSERT_EQ(got.branches.size(), want.branches.size()) << label;
+    EXPECT_FALSE(want.branches.empty()) << label;
+    for (const auto& [pc, site] : want.branches) {
+        const auto it = got.branches.find(pc);
+        ASSERT_NE(it, got.branches.end()) << label << " pc " << pc;
+        const BranchProfile& g = it->second;
+        const std::string where = label + " pc " + std::to_string(pc);
+        EXPECT_EQ(g.pc, site.pc) << where;
+        EXPECT_EQ(g.execs, site.execs) << where;
+        EXPECT_EQ(g.taken, site.taken) << where;
+        EXPECT_EQ(g.distGe2, site.distGe2) << where;
+        EXPECT_EQ(g.distGe3, site.distGe3) << where;
+        EXPECT_EQ(g.distGe4, site.distGe4) << where;
+        EXPECT_EQ(g.minDistance, site.minDistance) << where;
+    }
+    for (const char* token : {"bimodal", "bi512", "gshare", "tage"}) {
+        const std::string what = label + " " + token;
+        const auto predictor = driver::makePredictorByToken(token);
+        const auto reference = driver::makePredictorByToken(token);
+        Memory replayMemory = freshMemory();
+        const PredictionProfile gotP =
+            profilePredictions(p, replayMemory, *predictor);
+        const PredictionProfile wantP =
+            hookPredictions(p, freshMemory(), *reference);
+        EXPECT_EQ(gotP.predictorToken, wantP.predictorToken) << what;
+        EXPECT_EQ(gotP.branches, wantP.branches) << what;
+        EXPECT_EQ(gotP.mispredicts, wantP.mispredicts) << what;
+        ASSERT_EQ(gotP.sites.size(), wantP.sites.size()) << what;
+        for (const auto& [pc, site] : wantP.sites) {
+            const auto it = gotP.sites.find(pc);
+            ASSERT_NE(it, gotP.sites.end()) << what << " pc " << pc;
+            EXPECT_EQ(it->second.pc, site.pc) << what;
+            EXPECT_EQ(it->second.execs, site.execs) << what << " pc " << pc;
+            EXPECT_EQ(it->second.mispredicts, site.mispredicts)
+                << what << " pc " << pc;
+        }
+    }
+}
+
+TEST(ProfileWalkTest, MatchesTraceHookWalksOnEveryCodec) {
+    for (const BenchId id : kAllBenchesExtended) {
+        const bool g721 =
+            id == BenchId::kG721Encode || id == BenchId::kG721Decode;
+        const driver::Prepared prepared =
+            driver::prepare(id, true, 2003, g721 ? 60 : 2'000);
+        expectWalksMatchHookWalks(
+            prepared.program,
+            [&prepared] { return driver::makeMemory(prepared); },
+            benchName(id));
+    }
+}
+
+TEST(ProfileWalkTest, MatchesTraceHookWalksOnGeneratedPrograms) {
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        ProgramGen gen(seed * 7919);
+        gen.withDispatch(seed % 3 == 0).withIrreducible(seed % 4 == 0);
+        const Program p = assemble(gen.generate());
+        expectWalksMatchHookWalks(p, programOnly(p),
+                                  "seed " + std::to_string(seed));
+    }
 }
 
 }  // namespace

@@ -347,9 +347,26 @@ TEST(SamplingTest, ReportValidatesAndCatchesTampering) {
 //
 // The reference is the per-cell loop the fast-forward log replaced: every
 // skip re-executes its instructions on the cell's own ISS and replays each
-// one's event stream into the unit.  Log replay must reproduce it field for
-// field — windows, pipeline counters, per-site tables, AsbrStats, output and
-// the sampling report's bytes.
+// one's event stream into the unit.  Log replay — jumps, bare drift and one
+// BDT resync per skip — must reproduce it field for field: windows, pipeline
+// counters, per-site tables, AsbrStats, output and the sampling report's
+// bytes.
+
+/// Replay, architecturally, the customizer event stream one instruction
+/// generates on its way down the pipeline: producer registration at ID, the
+/// one value event at the customizer's capture stage, and the store port.
+/// With zero instruction overlap this is exactly the in-order event
+/// sequence, so BDT validity counters return to zero after every instruction
+/// and direction bits track architectural values bit-for-bit.
+void replayArchStep(AsbrUnit& unit, const DecodedOp& dec,
+                    const StepResult& sr) {
+    if (dec.writesDest) unit.onProducerDecoded(dec.dest);
+    if (sr.write) unit.onValueAvailable(sr.write->reg, sr.write->value);
+    if (sr.isStoreOp) unit.onStore(sr.memAddr, sr.storeValue);
+    // There is no fetch stream to stall during a replay; drain any
+    // parity-recovery debt so it cannot leak into later pipeline timing.
+    (void)unit.takeRecoveryStall();
+}
 
 struct ReferenceRun {
     SampledResult result;
