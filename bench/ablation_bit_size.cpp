@@ -12,9 +12,9 @@
 using namespace asbr;
 using namespace asbr::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const Options options = parseOptions(argc, argv);
-    SimEngine engine({.threads = options.threads});
+    SimEngine engine(driver::engineConfigFor(options));
     ReportSink sink("ablation_bit_size", options);
 
     // One baseline plus one ASBR job per capacity — the engine resolves the
@@ -52,4 +52,6 @@ int main(int argc, char** argv) {
     std::puts("Expected shape: improvement grows with capacity and saturates —");
     std::puts("a 16-entry BIT captures nearly all of the benefit (the paper's size).");
     return 0;
+} catch (const std::exception& e) {
+    return reportFailure(argv[0], e);
 }

@@ -13,9 +13,9 @@
 using namespace asbr;
 using namespace asbr::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const Options options = parseOptions(argc, argv);
-    SimEngine engine({.threads = options.threads});
+    SimEngine engine(driver::engineConfigFor(options));
     ReportSink sink("ablation_scheduling", options);
 
     TextTable table(
@@ -64,4 +64,6 @@ int main(int argc, char** argv) {
     std::puts("Expected shape: scheduling on => more foldable executions, more");
     std::puts("folds, fewer cycles (the compiler support of paper Section 5.1).");
     return 0;
+} catch (const std::exception& e) {
+    return reportFailure(argv[0], e);
 }

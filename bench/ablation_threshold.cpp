@@ -15,9 +15,9 @@
 using namespace asbr;
 using namespace asbr::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const Options options = parseOptions(argc, argv);
-    SimEngine engine({.threads = options.threads});
+    SimEngine engine(driver::engineConfigFor(options));
     ReportSink sink("ablation_threshold", options);
 
     TextTable table(
@@ -72,4 +72,6 @@ int main(int argc, char** argv) {
     std::puts("Expected shape: folds(commit) <= folds(post-EX) <= folds(EX-end)");
     std::puts("and cycles shrinking accordingly (the paper's threshold 4 -> 3 -> 2).");
     return 0;
+} catch (const std::exception& e) {
+    return reportFailure(argv[0], e);
 }

@@ -34,6 +34,11 @@ Options parseOptions(int argc, char** argv) {
     return options;
 }
 
+int reportFailure(const char* program, const std::exception& error) {
+    std::fprintf(stderr, "%s: error: %s\n", program, error.what());
+    return 1;
+}
+
 std::vector<BenchId> benchList(const Options& options,
                                std::span<const BenchId> all) {
     if (options.workload.has_value()) return {*options.workload};

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <span>
 #include <string>
 #include <vector>
@@ -36,9 +37,17 @@ using driver::samplesFor;
 using driver::thresholdFor;
 
 /// Parse the shared driver options (--quick --seed=N --adpcm=N --g721=N
-/// --threads=N --workload=W --csv --json=FILE); unknown arguments are
-/// rejected with a one-line structured error and exit code 2.
+/// --threads=N --workload=W --csv --json=FILE --job-timeout=MS
+/// --max-attempts=N); unknown arguments are rejected with a one-line
+/// structured error and exit code 2.  The engine takes --threads,
+/// --job-timeout and --max-attempts through driver::engineConfigFor.
 [[nodiscard]] Options parseOptions(int argc, char** argv);
+
+/// Print a failed run as one `<program>: error: <what>` line on stderr and
+/// return its exit code (1).  Every bench main ends in a handler calling it,
+/// so a job out of attempts never escapes as `terminate called`.
+[[nodiscard]] int reportFailure(const char* program,
+                                const std::exception& error);
 
 /// The workloads a figure loop covers: the --workload= filter when given,
 /// otherwise the full list passed in (kAllBenches / kAllBenchesExtended).

@@ -14,9 +14,9 @@
 using namespace asbr;
 using namespace asbr::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const Options options = parseOptions(argc, argv);
-    SimEngine engine({.threads = options.threads});
+    SimEngine engine(driver::engineConfigFor(options));
     ReportSink sink("ext_predictors", options);
 
     TextTable table("Extension: predictor shoot-out (cycles; lower is better)");
@@ -74,4 +74,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(registry.storageBits("bi512") +
                                                 AsbrUnit().storageBits()));
     return 0;
+} catch (const std::exception& e) {
+    return reportFailure(argv[0], e);
 }

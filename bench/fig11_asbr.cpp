@@ -21,9 +21,9 @@
 using namespace asbr;
 using namespace asbr::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const Options options = parseOptions(argc, argv);
-    SimEngine engine({.threads = options.threads});
+    SimEngine engine(driver::engineConfigFor(options));
     ReportSink sink("fig11_asbr", options);
 
     // Per benchmark: the two Figure 6 baselines this figure compares
@@ -89,4 +89,6 @@ int main(int argc, char** argv) {
     std::puts("(bi-* improvements are vs the bimodal-2048 baseline; not-taken vs the");
     std::puts(" not-taken baseline.)");
     return 0;
+} catch (const std::exception& e) {
+    return reportFailure(argv[0], e);
 }

@@ -16,9 +16,9 @@
 using namespace asbr;
 using namespace asbr::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const Options options = parseOptions(argc, argv);
-    SimEngine engine({.threads = options.threads});
+    SimEngine engine(driver::engineConfigFor(options));
     ReportSink sink("fig6_baseline", options);
 
     const std::vector<BenchId> benches = benchList(options, kAllBenches);
@@ -50,4 +50,6 @@ int main(int argc, char** argv) {
     std::puts("  G.721 Enc : not-taken 80.7M cyc CPI 1.73 53% | bimodal 62.1M 1.33 91% | gshare 62.3M 1.33 91%");
     std::puts("  G.721 Dec : not-taken 80.4M cyc CPI 1.83 53% | bimodal 62.8M 1.43 91% | gshare 63.1M 1.44 90%");
     return 0;
+} catch (const std::exception& e) {
+    return reportFailure(argv[0], e);
 }

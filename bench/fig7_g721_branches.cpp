@@ -12,9 +12,9 @@
 using namespace asbr;
 using namespace asbr::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const Options options = parseOptions(argc, argv);
-    SimEngine engine({.threads = options.threads});
+    SimEngine engine(driver::engineConfigFor(options));
     ReportSink sink("fig7_g721_branches", options);
     reportSelectedBranches(engine, options, BenchId::kG721Encode, "7 (encode)",
                            &sink);
@@ -25,4 +25,6 @@ int main(int argc, char** argv) {
     std::puts("decoder), exec counts 23k..1.76M, several sites where even gshare is");
     std::puts("stuck near 0.5-0.6 while others are >0.95.");
     return 0;
+} catch (const std::exception& e) {
+    return reportFailure(argv[0], e);
 }

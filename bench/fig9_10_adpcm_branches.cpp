@@ -9,9 +9,9 @@
 using namespace asbr;
 using namespace asbr::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     const Options options = parseOptions(argc, argv);
-    SimEngine engine({.threads = options.threads});
+    SimEngine engine(driver::engineConfigFor(options));
     ReportSink sink("fig9_10_adpcm_branches", options);
     reportSelectedBranches(engine, options, BenchId::kAdpcmEncode, "9", &sink);
     reportSelectedBranches(engine, options, BenchId::kAdpcmDecode, "10", &sink);
@@ -21,4 +21,6 @@ int main(int argc, char** argv) {
     std::puts("accuracies in the 0.3-0.9 band — hard-to-predict data-dependent");
     std::puts("branches inside the tight quantizer loop.");
     return 0;
+} catch (const std::exception& e) {
+    return reportFailure(argv[0], e);
 }

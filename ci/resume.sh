@@ -11,8 +11,8 @@
 #      journal must not corrupt the resume (same byte-identity);
 #   3. quarantine — a persistently failing job (1 ms wall-clock watchdog)
 #      must land in the report's failed_jobs section with exit code 3, not
-#      abort the grid; and the same kill-and-resume must hold for an
-#      asbr-faults campaign.
+#      abort the grid, for a sweep cell and for a campaign's injections;
+#      and the same kill-and-resume must hold for an asbr-faults campaign.
 #
 # The kill lands mid-run by construction: each run is SIGKILL'd as soon as
 # its journal records the first completed job, and the grid has more jobs
@@ -134,6 +134,29 @@ else
 fi
 "$STATS" validate "$tmpdir/q.json" > /dev/null || {
     echo "FAIL: quarantine report does not validate" >&2
+    status=1
+}
+
+echo "--- campaign quarantine (1 ms wall-clock watchdog)"
+set +e
+"$FAULTS" campaign --bench=g721-enc --quick --injections=4 --job-timeout=1 \
+    --max-attempts=2 --json="$tmpdir/fq.json" > /dev/null 2> "$tmpdir/fq.log"
+code=$?
+set -e
+if [[ $code -ne 3 ]]; then
+    echo "FAIL: quarantined campaign exited $code, want 3:" >&2
+    cat "$tmpdir/fq.log" >&2
+    status=1
+elif ! grep -q '"failed_jobs"' "$tmpdir/fq.json" \
+        || ! grep -q 'job watchdog' "$tmpdir/fq.json"; then
+    echo "FAIL: quarantined injections missing from the report's" \
+         "failed_jobs" >&2
+    status=1
+else
+    echo "ok: watchdogged injections quarantined into failed_jobs (exit 3)"
+fi
+"$FAULTS" validate "$tmpdir/fq.json" > /dev/null || {
+    echo "FAIL: campaign quarantine report does not validate" >&2
     status=1
 }
 

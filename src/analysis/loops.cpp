@@ -9,12 +9,6 @@ bool Loop::contains(std::size_t block) const {
     return std::binary_search(blocks.begin(), blocks.end(), block);
 }
 
-bool LoopForest::inLoopHeadedAt(std::size_t head, std::size_t block) const {
-    for (const Loop& loop : loops)
-        if (loop.head == head) return loop.contains(block);
-    return false;
-}
-
 namespace {
 
 /// Body of the natural loop with head `head` and latch set `latches`:

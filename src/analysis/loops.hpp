@@ -48,8 +48,6 @@ struct LoopForest {
     [[nodiscard]] bool isWideningPoint(std::size_t block) const {
         return wideningPoint[block] != 0;
     }
-    /// True when `block` belongs to the loop headed at `head` (any nesting).
-    [[nodiscard]] bool inLoopHeadedAt(std::size_t head, std::size_t block) const;
 };
 
 /// Detect natural loops and widening points for `cfg` using `doms`.

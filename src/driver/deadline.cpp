@@ -6,8 +6,7 @@
 
 namespace asbr::driver {
 
-void Deadline::onCycle(std::uint64_t cycle) {
-    if (inner_ != nullptr) inner_->onCycle(cycle);
+void Deadline::onCycle(std::uint64_t) {
     if (++sinceCheck_ < kCheckInterval) return;
     sinceCheck_ = 0;
     check();

@@ -48,9 +48,6 @@ public:
         return wallMs_ != 0 || interrupted_ != nullptr;
     }
 
-    /// Optional inner hook (e.g. the fault injector) run before the check.
-    void chainAfter(CycleHook* inner) { inner_ = inner; }
-
     void onCycle(std::uint64_t cycle) override;
 
     /// Immediate check, also usable outside a simulation loop.  Throws
@@ -58,7 +55,6 @@ public:
     void check() const;
 
 private:
-    CycleHook* inner_ = nullptr;
     std::uint64_t wallMs_;
     const std::atomic<bool>* interrupted_;
     std::chrono::steady_clock::time_point start_;

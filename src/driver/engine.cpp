@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
+#include <exception>
 #include <thread>
 #include <utility>
 
@@ -17,6 +17,130 @@
 #include "util/ensure.hpp"
 
 namespace asbr::driver {
+
+namespace {
+
+bool raised(const std::atomic<bool>* flag) {
+    return flag != nullptr && flag->load(std::memory_order_relaxed);
+}
+
+/// Where a cell's result is journaled, and its codec: the artifact's JSON
+/// and back.  A default-constructed one (no journal) splices, records and
+/// writes nothing.
+template <typename Result>
+struct CellJournal {
+    JobJournal* journal = nullptr;
+    JsonValue (*encode)(const Result&) = nullptr;
+    Result (*decode)(const JsonValue&) = nullptr;
+};
+
+/// How one cell ended.
+template <typename Result>
+struct Cell {
+    CellStatus status = CellStatus::kSkipped;
+    std::uint64_t attempts = 0;
+    bool resumed = false;       ///< spliced from the journal
+    Result result{};            ///< kOk only
+    std::string error;          ///< kFailed only: the last attempt's message
+    std::exception_ptr thrown;  ///< the last attempt's exception, if one ran
+};
+
+/// The one attempt loop behind every engine entry point
+/// (docs/robustness.md).  Takes cell `key` from its journal state to an
+/// outcome: a digest-verified artifact is spliced and a quarantine stays
+/// sticky; otherwise each attempt checks the interrupt flag, journals
+/// `running`, runs `attempt` under a fresh Deadline, and on success journals
+/// the artifact and then `done`, on failure `failed` and a back-off before
+/// the next attempt.
+template <typename Result, typename Attempt>
+Cell<Result> runCell(const EngineConfig& config, const std::string& key,
+                     const CellJournal<Result>& log,
+                     const std::atomic<bool>* interrupted, Attempt&& attempt) {
+    Cell<Result> cell;
+    JobJournal* const journal = log.journal;
+    const JournalEntry* prior =
+        journal != nullptr ? journal->entry(key) : nullptr;
+    if (prior != nullptr && prior->done) {
+        if (const auto bytes = journal->readArtifact(prior->artifactPath,
+                                                     prior->resultDigest)) {
+            const JsonParseResult parsed = parseJson(*bytes);
+            if (parsed.ok()) {
+                cell.status = CellStatus::kOk;
+                cell.attempts = prior->doneAttempt;
+                cell.resumed = true;
+                cell.result = log.decode(*parsed.value);
+                return cell;
+            }
+        }
+        // Missing/corrupt artifact: fall through and recompute.  Attempt
+        // numbering is unaffected (the crash-free run's bytes must still
+        // reproduce), and the fresh artifact overwrites the corrupt one.
+    }
+
+    const std::uint64_t maxAttempts =
+        std::max<std::uint64_t>(1, config.maxAttempts);
+    const std::uint64_t priorFailures =
+        prior != nullptr ? prior->failedAttempts : 0;
+    if (priorFailures >= maxAttempts) {
+        // Quarantined in a previous process; stays quarantined on resume
+        // unless --max-attempts was raised.
+        cell.status = CellStatus::kFailed;
+        cell.attempts = priorFailures;
+        cell.error = prior->lastError;
+        return cell;
+    }
+
+    for (std::uint64_t n = priorFailures + 1;; ++n) {
+        if (raised(interrupted)) return cell;
+        if (journal != nullptr) journal->recordStart(key, n);
+        try {
+            Deadline deadline(config.jobTimeoutMs, interrupted);
+            cell.result = attempt(deadline);
+            if (journal != nullptr) {
+                const std::string bytes =
+                    log.encode(cell.result).dump(2) + "\n";
+                const std::string artifact = JobJournal::artifactPathFor(key);
+                journal->writeArtifact(artifact, bytes);
+                journal->recordDone(key, n, artifact, fnv1a64Hex(bytes));
+            }
+            cell.status = CellStatus::kOk;
+            cell.attempts = n;
+            return cell;
+        } catch (const JobInterruptedError&) {
+            // Deliberately no journal record: the attempt never concluded,
+            // exactly like a crash — resume re-runs it with the same
+            // attempt number and reproduces the uninterrupted bytes.
+            cell.thrown = std::current_exception();
+            return cell;
+        } catch (const std::exception& e) {
+            if (journal != nullptr) journal->recordFailed(key, n, e.what());
+            if (n >= maxAttempts) {
+                cell.status = CellStatus::kFailed;
+                cell.attempts = n;
+                cell.error = e.what();
+                cell.thrown = std::current_exception();
+                return cell;
+            }
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(backoffDelayMs(n + 1)));
+        }
+    }
+}
+
+/// The journal a durable batch of `cells` writes; null without a directory.
+std::unique_ptr<JobJournal> openJournal(const DurablePolicy& policy,
+                                        const std::string& gridDigest,
+                                        std::uint64_t cells) {
+    ASBR_ENSURE(!policy.resume || !policy.journalDir.empty(),
+                "engine: resume requires a journal directory");
+    if (policy.journalDir.empty()) return nullptr;
+    return std::make_unique<JobJournal>(policy.journalDir, policy.resume,
+                                        gridDigest, cells);
+}
+
+JsonValue sameJson(const JsonValue& value) { return value; }
+
+}  // namespace
 
 SimEngine::SimEngine(EngineConfig config) : config_(config) {}
 
@@ -125,7 +249,7 @@ std::string SimEngine::campaignManifestDigest(
     return fnv1a64Hex(all);
 }
 
-JobResult SimEngine::execute(const SimJob& job, Deadline* deadline) {
+JobResult SimEngine::execute(const SimJob& job, Deadline& deadline) {
     const WorkloadKey workloadKey = workloadKeyFor(job);
     const auto workload = cache_.workload(workloadKey);
     std::string predictorError;
@@ -147,8 +271,7 @@ JobResult SimEngine::execute(const SimJob& job, Deadline* deadline) {
     }
     // The wall-clock watchdog rides the cycle-hook seam; an inert deadline
     // is never installed, so un-watched runs keep a null cycleHook.
-    if (deadline != nullptr && deadline->active())
-        pipelineConfig.cycleHook = deadline;
+    if (deadline.active()) pipelineConfig.cycleHook = &deadline;
 
     const auto simStart = std::chrono::steady_clock::now();
     PipelineStats runStats;
@@ -159,9 +282,8 @@ JobResult SimEngine::execute(const SimJob& job, Deadline* deadline) {
         // job waiting on another job's walk is bounded by that job's
         // deadline: an abandoned walk fails its waiters too, and their
         // retries record the log again.
-        const auto log = workload->fastForwardLog(job.sampling, [deadline] {
-            if (deadline != nullptr) deadline->check();
-        });
+        const auto log = workload->fastForwardLog(
+            job.sampling, [&deadline] { deadline.check(); });
         auto sampled = std::make_shared<SampledResult>(
             runSampledPipeline(workload->prepared(), *predictor, unit.get(),
                                *log, pipelineConfig));
@@ -238,137 +360,46 @@ JobResult SimEngine::execute(const SimJob& job, Deadline* deadline) {
     return out;
 }
 
-JobResult SimEngine::executeWithRetry(const SimJob& job) {
-    const std::uint64_t maxAttempts =
-        std::max<std::uint64_t>(1, config_.maxAttempts);
-    for (std::uint64_t attempt = 1;; ++attempt) {
-        try {
-            Deadline deadline(config_.jobTimeoutMs);
-            return execute(job, &deadline);
-        } catch (const JobInterruptedError&) {
-            throw;  // a checkpoint request is not a retryable failure
-        } catch (const std::exception&) {
-            if (attempt >= maxAttempts) throw;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(backoffDelayMs(attempt + 1)));
-        }
-    }
-}
-
 JobResult SimEngine::runOne(const SimJob& job) {
-    return executeWithRetry(job);
+    Cell<JobResult> cell = runCell<JobResult>(
+        config_, {}, {}, nullptr,
+        [&](Deadline& deadline) { return execute(job, deadline); });
+    if (cell.status != CellStatus::kOk) std::rethrow_exception(cell.thrown);
+    return std::move(cell.result);
 }
 
 std::vector<JobResult> SimEngine::run(const std::vector<SimJob>& jobs) {
     std::vector<JobResult> results(jobs.size());
     parallelFor(jobs.size(), config_.threads,
-                [&](std::size_t i) { results[i] = executeWithRetry(jobs[i]); });
+                [&](std::size_t i) { results[i] = runOne(jobs[i]); });
     return results;
-}
-
-CellOutcome SimEngine::runDurableOne(const SimJob& job,
-                                     const DurablePolicy& policy,
-                                     JobJournal* journal) {
-    CellOutcome cell;
-    cell.key = jobKey(job);
-
-    const JournalEntry* prior =
-        journal != nullptr ? journal->entry(cell.key) : nullptr;
-    const std::uint64_t priorFailures =
-        prior != nullptr ? prior->failedAttempts : 0;
-    if (prior != nullptr && prior->done) {
-        if (const auto bytes =
-                journal->readArtifact(prior->artifactPath, prior->resultDigest)) {
-            const JsonParseResult parsed = parseJson(*bytes);
-            if (parsed.ok()) {
-                cell.status = CellStatus::kOk;
-                cell.attempts = prior->doneAttempt;
-                cell.resumed = true;
-                cell.report = *parsed.value;
-                jobsResumed_.fetch_add(1, std::memory_order_relaxed);
-                return cell;
-            }
-        }
-        // Missing/corrupt artifact: fall through and recompute.  Attempt
-        // numbering is unaffected (the crash-free run's bytes must still
-        // reproduce), and the fresh artifact overwrites the corrupt one.
-    }
-
-    const std::uint64_t maxAttempts =
-        std::max<std::uint64_t>(1, policy.maxAttempts);
-    if (priorFailures >= maxAttempts) {
-        // Quarantined in a previous process; stays quarantined on resume
-        // unless --max-attempts was raised.
-        cell.status = CellStatus::kFailed;
-        cell.attempts = priorFailures;
-        cell.error = prior->lastError;
-        return cell;
-    }
-
-    for (std::uint64_t attempt = priorFailures + 1;; ++attempt) {
-        if (policy.interrupted != nullptr &&
-            policy.interrupted->load(std::memory_order_relaxed)) {
-            cell.status = CellStatus::kSkipped;
-            return cell;
-        }
-        if (journal != nullptr) journal->recordStart(cell.key, attempt);
-        try {
-            Deadline deadline(policy.jobTimeoutMs, policy.interrupted);
-            const JobResult result = execute(job, &deadline);
-            cell.report = simReportJson(result.report);
-            if (journal != nullptr) {
-                const std::string bytes = cell.report.dump(2) + "\n";
-                const std::string artifact =
-                    JobJournal::artifactPathFor(cell.key);
-                journal->writeArtifact(artifact, bytes);
-                journal->recordDone(cell.key, attempt, artifact,
-                                    fnv1a64Hex(bytes));
-            }
-            cell.status = CellStatus::kOk;
-            cell.attempts = attempt;
-            return cell;
-        } catch (const JobInterruptedError&) {
-            // Deliberately no journal record: the attempt never concluded,
-            // exactly like a crash — resume re-runs it with the same
-            // attempt number and reproduces the uninterrupted bytes.
-            cell.status = CellStatus::kSkipped;
-            return cell;
-        } catch (const std::exception& e) {
-            if (journal != nullptr)
-                journal->recordFailed(cell.key, attempt, e.what());
-            if (attempt >= maxAttempts) {
-                cell.status = CellStatus::kFailed;
-                cell.attempts = attempt;
-                cell.error = e.what();
-                return cell;
-            }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(backoffDelayMs(attempt + 1)));
-        }
-    }
 }
 
 DurableRunResult SimEngine::runDurable(const std::vector<SimJob>& jobs,
                                        const DurablePolicy& policy) {
-    ASBR_ENSURE(!policy.resume || !policy.journalDir.empty(),
-                "engine: resume requires a journal directory");
-    std::unique_ptr<JobJournal> journal;
-    if (!policy.journalDir.empty())
-        journal = std::make_unique<JobJournal>(policy.journalDir, policy.resume,
-                                               manifestDigest(jobs),
-                                               jobs.size());
+    const auto journal = openJournal(policy, manifestDigest(jobs), jobs.size());
+    const CellJournal<JsonValue> log{journal.get(), sameJson, sameJson};
     DurableRunResult out;
     out.cells.resize(jobs.size());
     parallelFor(jobs.size(), config_.threads, [&](std::size_t i) {
-        out.cells[i] = runDurableOne(jobs[i], policy, journal.get());
+        CellOutcome& outcome = out.cells[i];
+        outcome.key = jobKey(jobs[i]);
+        Cell<JsonValue> cell = runCell(
+            config_, outcome.key, log, policy.interrupted,
+            [&](Deadline& deadline) {
+                return simReportJson(execute(jobs[i], deadline).report);
+            });
+        outcome.status = cell.status;
+        outcome.attempts = cell.attempts;
+        outcome.resumed = cell.resumed;
+        outcome.report = std::move(cell.result);
+        outcome.error = std::move(cell.error);
     });
-    out.resumedJobs = 0;
     for (const CellOutcome& cell : out.cells)
         if (cell.resumed) ++out.resumedJobs;
+    jobsResumed_.fetch_add(out.resumedJobs, std::memory_order_relaxed);
     out.interrupted =
-        out.countWith(CellStatus::kSkipped) > 0 ||
-        (policy.interrupted != nullptr &&
-         policy.interrupted->load(std::memory_order_relaxed));
+        out.countWith(CellStatus::kSkipped) > 0 || raised(policy.interrupted);
     return out;
 }
 
@@ -392,95 +423,28 @@ FaultRunFactory SimEngine::faultFactory(const SimJob& job) {
     };
 }
 
-CampaignResult SimEngine::runCampaign(const SimJob& job,
-                                      const CampaignConfig& campaign) {
-    const FaultRunFactory factory = faultFactory(job);
-    CampaignResult result;
-    result.context = computeContext(factory);
-
-    // Sample every injection up front in the serial campaign's RNG order,
-    // then execute in parallel: the records land in sampling order, so the
-    // merged result is bit-identical to the serial loop at any thread count.
-    const std::vector<Injection> injections =
-        sampleInjections(campaignSiteClasses(factory, campaign), campaign,
-                         result.context.cleanCycles);
-    result.records.resize(injections.size());
-    parallelFor(injections.size(), config_.threads, [&](std::size_t i) {
-        result.records[i] = runInjection(factory, injections[i], result.context,
-                                         campaign.maxCycleFactor);
-        jobsRun_.fetch_add(1, std::memory_order_relaxed);
-        busyCycles_.fetch_add(result.records[i].cycles,
-                              std::memory_order_relaxed);
-    });
-    for (const InjectionRecord& record : result.records)
-        ++result.outcomes[static_cast<std::size_t>(record.outcome)];
-    return result;
-}
-
 DurableCampaignResult SimEngine::runCampaignDurable(
     const SimJob& job, const CampaignConfig& campaign,
     const DurablePolicy& policy) {
-    ASBR_ENSURE(!policy.resume || !policy.journalDir.empty(),
-                "engine: resume requires a journal directory");
     const FaultRunFactory factory = faultFactory(job);
     DurableCampaignResult out;
-    // Context + sampling are deterministic and cheap relative to the grid,
-    // so every (re)start recomputes them instead of journaling them.
+    // Sample every injection up front in the serial campaign's RNG order,
+    // then execute in parallel: the records land in sampling order, so the
+    // merged result is bit-identical to the serial loop at any thread count.
     out.result.context = computeContext(factory);
     const std::vector<Injection> injections =
         sampleInjections(campaignSiteClasses(factory, campaign), campaign,
                          out.result.context.cleanCycles);
+    const auto journal = openJournal(
+        policy, campaignManifestDigest(job, campaign), injections.size());
+    const CellJournal<InjectionRecord> log{
+        journal.get(), injectionRecordJson, injectionRecordFromJson};
 
-    std::unique_ptr<JobJournal> journal;
-    if (!policy.journalDir.empty())
-        journal = std::make_unique<JobJournal>(
-            policy.journalDir, policy.resume,
-            campaignManifestDigest(job, campaign), injections.size());
-
-    const std::uint64_t maxAttempts =
-        std::max<std::uint64_t>(1, policy.maxAttempts);
-    std::vector<std::optional<InjectionRecord>> records(injections.size());
-    std::vector<std::optional<FailedInjection>> failed(injections.size());
-    std::atomic<bool> sawSkip{false};
-    std::atomic<std::uint64_t> resumedCount{0};
-
+    std::vector<Cell<InjectionRecord>> cells(injections.size());
     parallelFor(injections.size(), config_.threads, [&](std::size_t i) {
-        const std::string key = "inj" + std::to_string(i);
-        const JournalEntry* prior =
-            journal != nullptr ? journal->entry(key) : nullptr;
-        const std::uint64_t priorFailures =
-            prior != nullptr ? prior->failedAttempts : 0;
-        if (prior != nullptr && prior->done) {
-            if (const auto bytes = journal->readArtifact(prior->artifactPath,
-                                                         prior->resultDigest)) {
-                const JsonParseResult parsed = parseJson(*bytes);
-                if (parsed.ok()) {
-                    records[i] = injectionRecordFromJson(*parsed.value);
-                    jobsResumed_.fetch_add(1, std::memory_order_relaxed);
-                    resumedCount.fetch_add(1, std::memory_order_relaxed);
-                    return;
-                }
-            }
-            // Corrupt artifact: recompute (deterministic — same bytes).
-        }
-        if (priorFailures >= maxAttempts) {
-            FailedInjection f;
-            f.index = i;
-            f.injection = injections[i];
-            f.attempts = priorFailures;
-            f.error = prior->lastError;
-            failed[i] = std::move(f);
-            return;
-        }
-        for (std::uint64_t attempt = priorFailures + 1;; ++attempt) {
-            if (policy.interrupted != nullptr &&
-                policy.interrupted->load(std::memory_order_relaxed)) {
-                sawSkip.store(true, std::memory_order_relaxed);
-                return;
-            }
-            if (journal != nullptr) journal->recordStart(key, attempt);
-            try {
-                Deadline deadline(policy.jobTimeoutMs, policy.interrupted);
+        cells[i] = runCell(
+            config_, "inj" + std::to_string(i), log, policy.interrupted,
+            [&](Deadline& deadline) {
                 InjectionRecord record = runInjection(
                     factory, injections[i], out.result.context,
                     campaign.maxCycleFactor,
@@ -488,51 +452,26 @@ DurableCampaignResult SimEngine::runCampaignDurable(
                 jobsRun_.fetch_add(1, std::memory_order_relaxed);
                 busyCycles_.fetch_add(record.cycles,
                                       std::memory_order_relaxed);
-                if (journal != nullptr) {
-                    const std::string bytes =
-                        injectionRecordJson(record).dump(2) + "\n";
-                    const std::string artifact =
-                        JobJournal::artifactPathFor(key);
-                    journal->writeArtifact(artifact, bytes);
-                    journal->recordDone(key, attempt, artifact,
-                                        fnv1a64Hex(bytes));
-                }
-                records[i] = std::move(record);
-                return;
-            } catch (const JobInterruptedError&) {
-                sawSkip.store(true, std::memory_order_relaxed);
-                return;
-            } catch (const std::exception& e) {
-                if (journal != nullptr)
-                    journal->recordFailed(key, attempt, e.what());
-                if (attempt >= maxAttempts) {
-                    FailedInjection f;
-                    f.index = i;
-                    f.injection = injections[i];
-                    f.attempts = attempt;
-                    f.error = e.what();
-                    failed[i] = std::move(f);
-                    return;
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(backoffDelayMs(attempt + 1)));
-            }
-        }
+                return record;
+            });
     });
 
     for (std::size_t i = 0; i < injections.size(); ++i) {
-        if (records[i].has_value()) {
+        Cell<InjectionRecord>& cell = cells[i];
+        if (cell.resumed) ++out.resumedJobs;
+        if (cell.status == CellStatus::kOk) {
             ++out.result.outcomes[static_cast<std::size_t>(
-                records[i]->outcome)];
-            out.result.records.push_back(std::move(*records[i]));
-        } else if (failed[i].has_value()) {
-            out.failed.push_back(std::move(*failed[i]));
+                cell.result.outcome)];
+            out.result.records.push_back(std::move(cell.result));
+        } else if (cell.status == CellStatus::kFailed) {
+            out.failed.push_back(
+                {i, injections[i], cell.attempts, std::move(cell.error)});
+        } else {
+            out.interrupted = true;
         }
     }
-    out.resumedJobs = resumedCount.load(std::memory_order_relaxed);
-    out.interrupted = sawSkip.load(std::memory_order_relaxed) ||
-                      (policy.interrupted != nullptr &&
-                       policy.interrupted->load(std::memory_order_relaxed));
+    jobsResumed_.fetch_add(out.resumedJobs, std::memory_order_relaxed);
+    out.interrupted = out.interrupted || raised(policy.interrupted);
     return out;
 }
 
@@ -540,11 +479,9 @@ InjectionRecord SimEngine::replayInjection(const SimJob& job,
                                            const Injection& injection,
                                            std::uint64_t maxCycleFactor) {
     const FaultRunFactory factory = faultFactory(job);
-    const CampaignContext context = computeContext(factory);
-    Deadline deadline(config_.jobTimeoutMs);
-    InjectionRecord record =
-        runInjection(factory, injection, context, maxCycleFactor,
-                     deadline.active() ? &deadline : nullptr);
+    InjectionRecord record = runInjection(factory, injection,
+                                          computeContext(factory),
+                                          maxCycleFactor);
     jobsRun_.fetch_add(1, std::memory_order_relaxed);
     busyCycles_.fetch_add(record.cycles, std::memory_order_relaxed);
     return record;

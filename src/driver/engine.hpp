@@ -7,12 +7,17 @@
 // it ran on 1 thread or 8 — the property ci/bench-report.sh, ci/faults.sh
 // and the determinism tests pin down by diffing JSON across thread counts.
 //
+// Batch jobs, sweep cells and fault injections all run through one attempt
+// loop (runCell in engine.cpp).  EngineConfig sets its watchdog and retry
+// budget; DurablePolicy adds only the journal and the interrupt flag.
+//
 // Observability is injection-scoped: each job gets its own MetricRegistry
 // (inside its SimReport) and, when tracing, its own Tracer instance.  The
-// engine itself keeps three counters (engine.jobs_run, engine.cache_hits,
-// engine.worker_busy_cycles) that callers publish into a registry of their
-// choosing; all three are deterministic functions of the submitted work —
-// worker_busy_cycles counts *simulated* cycles, never host time.
+// engine itself keeps four counters (engine.jobs_run, engine.cache_hits,
+// engine.worker_busy_cycles, engine.jobs_resumed) that callers publish into
+// a registry of their choosing; all four are deterministic functions of the
+// submitted work and the journal — worker_busy_cycles counts *simulated*
+// cycles, never host time.
 #pragma once
 
 #include <atomic>
@@ -30,18 +35,18 @@
 namespace asbr::driver {
 
 class Deadline;
-class JobJournal;
 struct CliOptions;
 
 struct EngineConfig {
     /// Worker threads for batch/campaign execution (0 = hardware
     /// concurrency).  1 runs everything inline on the calling thread.
     std::size_t threads = 1;
-    /// Per-job wall-clock watchdog in milliseconds (0 = off).  Exceeding it
-    /// throws JobTimeoutError — host time never lands in results.
+    /// Per-attempt wall-clock watchdog in milliseconds (0 = off).  Exceeding
+    /// it throws JobTimeoutError — host time never lands in results.
     std::uint64_t jobTimeoutMs = 0;
-    /// Bounded retry for runOne/run: attempts per job before the failure is
-    /// rethrown.  Retries sleep backoffDelayMs(attempt) between attempts.
+    /// Attempts per job or injection before runOne/run rethrow the last
+    /// failure and the durable entry points quarantine the cell.  Attempt
+    /// N > 1 first sleeps backoffDelayMs(N).
     std::uint64_t maxAttempts = 1;
 };
 
@@ -57,15 +62,14 @@ struct EngineStats {
     std::uint64_t jobsResumed = 0;  ///< results spliced from a journal
 };
 
-/// Durable-execution policy for runDurable/runCampaignDurable
-/// (docs/robustness.md).  An empty journalDir runs without persistence —
-/// the watchdog/retry/quarantine semantics still apply, so tools use one
-/// code path whether or not --journal was given.
+/// Journal and interrupt flag for runDurable/runCampaignDurable
+/// (docs/robustness.md); the watchdog and retry budget come from
+/// EngineConfig.  An empty journalDir runs without persistence — failed
+/// cells still quarantine instead of aborting, so tools use one code path
+/// whether or not --journal was given.
 struct DurablePolicy {
     std::string journalDir;  ///< write-ahead journal directory; empty = none
     bool resume = false;     ///< resume an existing journal (requires dir)
-    std::uint64_t maxAttempts = 1;   ///< attempts before quarantine
-    std::uint64_t jobTimeoutMs = 0;  ///< per-attempt wall-clock bound (0=off)
     /// Cooperative interrupt flag (SIGINT/SIGTERM handler sets it): pending
     /// jobs are skipped, the in-flight attempt aborts without a journal
     /// record, and the caller exits after the journal is checkpointed.
@@ -127,7 +131,7 @@ public:
     [[nodiscard]] std::shared_ptr<const SelectionArtifacts> selectionFor(
         const SimJob& job);
 
-    /// Run one job on the calling thread.
+    /// Run one job on the calling thread; rethrows its last attempt's error.
     [[nodiscard]] JobResult runOne(const SimJob& job);
 
     /// Run a batch on the worker pool; results are in submission order.
@@ -147,15 +151,15 @@ public:
         const SimJob& job, const CampaignConfig& campaign) const;
 
     /// Durable batch execution (docs/robustness.md): write-ahead journal,
-    /// resume, per-attempt wall-clock watchdog, bounded retry with
-    /// deterministic backoff, and quarantine instead of abort.  Cell order
-    /// is submission order; a resumed run splices journal artifacts and
-    /// serializes byte-identically to the uninterrupted run at any thread
-    /// count.
+    /// resume, and quarantine instead of abort on top of the watchdog and
+    /// retry every job gets.  Cell order is submission order; a resumed run
+    /// splices journal artifacts and serializes byte-identically to the
+    /// uninterrupted run at any thread count.
     [[nodiscard]] DurableRunResult runDurable(const std::vector<SimJob>& jobs,
                                               const DurablePolicy& policy);
 
-    /// Durable fault campaign: the golden context is recomputed on every
+    /// Durable fault campaign, byte-identical to the serial asbr::runCampaign
+    /// at any thread count.  The golden context is recomputed on every
     /// (re)start — it is deterministic and cheap relative to the grid —
     /// while each injection is journaled and resumed individually.
     [[nodiscard]] DurableCampaignResult runCampaignDurable(
@@ -166,12 +170,6 @@ public:
     /// is freshly constructed from cached immutable artifacts, so it is safe
     /// to call from concurrent workers.
     [[nodiscard]] FaultRunFactory faultFactory(const SimJob& job);
-
-    /// Full fault campaign: golden context, serial-order injection sampling,
-    /// parallel execution, submission-order merge.  Byte-identical to the
-    /// serial asbr::runCampaign for the same job and campaign config.
-    [[nodiscard]] CampaignResult runCampaign(const SimJob& job,
-                                             const CampaignConfig& campaign);
 
     /// Re-run one recorded injection (asbr-faults replay).
     [[nodiscard]] InjectionRecord replayInjection(const SimJob& job,
@@ -190,12 +188,7 @@ public:
     void publishMetrics(MetricRegistry& registry) const;
 
 private:
-    [[nodiscard]] JobResult execute(const SimJob& job,
-                                    Deadline* deadline = nullptr);
-    [[nodiscard]] JobResult executeWithRetry(const SimJob& job);
-    [[nodiscard]] CellOutcome runDurableOne(const SimJob& job,
-                                            const DurablePolicy& policy,
-                                            JobJournal* journal);
+    [[nodiscard]] JobResult execute(const SimJob& job, Deadline& deadline);
 
     EngineConfig config_;
     ArtifactCache cache_;

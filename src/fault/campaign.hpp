@@ -139,7 +139,9 @@ struct CampaignResult {
                                            std::uint64_t maxCycleFactor,
                                            CycleHook* watchdog = nullptr);
 
-/// Full campaign: context, deterministic site/cycle sampling, classification.
+/// Full campaign: context, deterministic site/cycle sampling, classification,
+/// one injection after another.  The serial reference that the engine's
+/// parallel campaign (driver::SimEngine::runCampaignDurable) must reproduce.
 [[nodiscard]] CampaignResult runCampaign(const FaultRunFactory& factory,
                                          const CampaignConfig& config);
 

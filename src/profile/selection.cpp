@@ -194,16 +194,6 @@ FoldSelection selectBranchesByStaticCost(
     return selection;
 }
 
-const char* hardnessName(BranchHardness hardness) {
-    switch (hardness) {
-        case BranchHardness::kColdSite: return "cold-site";
-        case BranchHardness::kWellPredicted: return "well-predicted";
-        case BranchHardness::kHistoryPredictable: return "history-predictable";
-        case BranchHardness::kHardToPredict: return "hard-to-predict";
-    }
-    return "?";
-}
-
 std::uint64_t PredictorAwareSelection::countOf(BranchHardness h) const {
     std::uint64_t n = 0;
     for (const auto& [pc, cls] : hardness)

@@ -115,8 +115,6 @@ enum class BranchHardness {
     kHardToPredict,       ///< the strong predictor demonstrably loses — fold it
 };
 
-[[nodiscard]] const char* hardnessName(BranchHardness hardness);
-
 /// Thresholds for the hardness taxonomy.
 struct PredictorAwareConfig {
     /// A site whose accuracy reaches this under a predictor counts as won

@@ -21,15 +21,6 @@ Tracer::Tracer(const TracerConfig& config)
     : config_(config),
       laneNames_{"IF/ID", "ID/EX", "EX/MEM", "MEM/WB", "resolve"} {}
 
-void Tracer::setLaneNames(std::vector<std::string> names) {
-    laneNames_ = std::move(names);
-}
-
-void Tracer::clear() {
-    events_.clear();
-    truncated_ = false;
-}
-
 const char* Tracer::laneName(std::uint8_t lane) const {
     return lane < laneNames_.size() ? laneNames_[lane].c_str() : "?";
 }

@@ -55,9 +55,6 @@ class Tracer {
 public:
     explicit Tracer(const TracerConfig& config = {});
 
-    /// Lane display names for the Chrome export; index == TraceEvent::lane.
-    void setLaneNames(std::vector<std::string> names);
-
     void record(const TraceEvent& event) {
         if (event.cycle < config_.startCycle || event.cycle >= config_.endCycle)
             return;
@@ -78,7 +75,6 @@ public:
         return events_;
     }
     [[nodiscard]] bool truncated() const { return truncated_; }
-    void clear();
 
     /// One JSON object per line:
     ///   {"cycle":12,"kind":"stage","lane":"EX","pc":"0x00400010","op":"addu"}

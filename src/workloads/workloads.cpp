@@ -107,16 +107,4 @@ std::vector<std::uint8_t> runEncoderRef(BenchId id,
     return {};
 }
 
-std::vector<std::int16_t> runDecoderRef(BenchId id,
-                                        std::span<const std::uint8_t> codes) {
-    switch (id) {
-        case BenchId::kAdpcmDecode: return adpcmDecodeRef(codes);
-        case BenchId::kG721Decode: return g721DecodeRef(codes);
-        case BenchId::kG711Decode: return g711DecodeRef(codes);
-        default: break;
-    }
-    ASBR_ENSURE(false, "runDecoderRef: not a decoder bench");
-    return {};
-}
-
 }  // namespace asbr

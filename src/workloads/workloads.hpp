@@ -66,12 +66,8 @@ void loadCodeInput(Memory& memory, const Program& program,
                                                 const Program& program,
                                                 std::size_t count);
 
-/// Run the native golden reference for a benchmark: encoders map PCM->codes,
-/// decoders map codes->PCM (returned PCM is re-encoded as int16 values
-/// widened into the same container type for uniformity).
+/// Run the native golden reference of an encoder benchmark: PCM -> codes.
 [[nodiscard]] std::vector<std::uint8_t> runEncoderRef(
     BenchId id, std::span<const std::int16_t> pcm);
-[[nodiscard]] std::vector<std::int16_t> runDecoderRef(
-    BenchId id, std::span<const std::uint8_t> codes);
 
 }  // namespace asbr

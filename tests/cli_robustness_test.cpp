@@ -323,9 +323,19 @@ TEST(CliRobustness, StatsRunRejectsJournalFlags) {
 }
 
 TEST(CliRobustness, BenchBinariesRejectJournalFlags) {
-    expectCleanRejection(
-        runTool("../bench/fig6_baseline", "--quick --resume"),
-        "fig6_baseline");
+    const RunResult r = runTool("../bench/fig6_baseline", "--quick --resume");
+    expectCleanRejection(r, "fig6_baseline");
+    EXPECT_NE(r.output.find("--journal/--resume"), r.output.npos) << r.output;
+}
+
+// The regenerators run their batch under the shared retry settings: a job
+// that keeps tripping the wall-clock watchdog fails the binary with a
+// one-line error instead of being dropped or aborting the process.
+TEST(CliRobustness, BenchBinariesHonourJobTimeout) {
+    const RunResult r = runTool("../bench/fig6_baseline",
+                                "--quick --workload=g721-enc --job-timeout=1");
+    expectCleanRejection(r, "fig6_baseline");
+    EXPECT_NE(r.output.find("job watchdog"), r.output.npos) << r.output;
 }
 
 TEST_P(CliRobustnessTest, HelpMentionsDurabilityFlags) {

@@ -23,6 +23,7 @@
 #include "report/fault_report.hpp"
 #include "report/report.hpp"
 #include "report/sweep_report.hpp"
+#include "util/ensure.hpp"
 
 namespace {
 
@@ -109,15 +110,23 @@ TEST(DriverDeterminism, CampaignBytesIdenticalAcrossThreadCounts) {
     meta.samples = job.samples;
     meta.updateStage = valueStageName(job.updateStage);
 
+    // The serial campaign loop is the reference; the engine samples every
+    // injection in its RNG order and merges records by sampling index.
     SimEngine serial({.threads = 1});
-    SimEngine parallel({.threads = 8});
-    const std::string s1 =
-        faultReportJson(meta, campaign, serial.runCampaign(job, campaign))
+    const std::string reference =
+        faultReportJson(meta, campaign,
+                        runCampaign(serial.faultFactory(job), campaign))
             .dump(2);
-    const std::string p1 =
-        faultReportJson(meta, campaign, parallel.runCampaign(job, campaign))
-            .dump(2);
-    EXPECT_EQ(s1, p1) << "fault campaign diverged across thread counts";
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+        SimEngine engine({.threads = threads});
+        const DurableCampaignResult outcome =
+            engine.runCampaignDurable(job, campaign, {});
+        EXPECT_EQ(faultReportJson(meta, campaign, outcome.result,
+                                  outcome.failed)
+                      .dump(2),
+                  reference)
+            << "fault campaign diverged at --threads=" << threads;
+    }
 }
 
 TEST(DriverDeterminism, SweepReportBytesIdenticalAcrossThreadCounts) {
@@ -364,6 +373,30 @@ TEST(EngineTest, UnknownPredictorTokenIsRethrownFromBatch) {
     std::vector<SimJob> jobs = mixedBatch();
     jobs[2].predictor = "oracle";  // not a known token
     EXPECT_THROW((void)engine.run(jobs), std::exception);
+}
+
+TEST(EngineTest, RunRethrowsTheLastAttemptsError) {
+    // Every G.721 attempt outlasts 1 ms of host time; with no journal to
+    // quarantine into, the last attempt's error reaches the caller.
+    SimJob job = tinyJob(BenchId::kG721Encode, "bimodal", false);
+    job.samples = 2'000;
+    const std::string expected = watchdogMessage("job", "wall-clock", 1, "ms");
+
+    SimEngine serial({.threads = 1, .jobTimeoutMs = 1, .maxAttempts = 2});
+    try {
+        (void)serial.runOne(job);
+        ADD_FAILURE() << "runOne returned despite the watchdog";
+    } catch (const JobTimeoutError& e) {
+        EXPECT_EQ(e.what(), expected);
+    }
+
+    SimEngine parallel({.threads = 4, .jobTimeoutMs = 1, .maxAttempts = 2});
+    try {
+        (void)parallel.run({job, job, job, job});
+        ADD_FAILURE() << "run returned despite the watchdog";
+    } catch (const JobTimeoutError& e) {
+        EXPECT_EQ(e.what(), expected);
+    }
 }
 
 TEST(EngineTest, PublishedCountersMatchStats) {

@@ -134,6 +134,25 @@ std::string sweepDocBytes(const DurableRunResult& outcome) {
         .dump(2);
 }
 
+/// A fixed fault-report header; only the records and outcomes differ.
+FaultReportMeta campaignMeta(const SimJob& job) {
+    FaultReportMeta meta;
+    meta.benchmark = benchToken(job.workload);
+    meta.predictor = job.predictor;
+    meta.seed = job.seed;
+    meta.samples = job.samples;
+    meta.updateStage = valueStageName(job.updateStage);
+    return meta;
+}
+
+std::size_t journalLines(const std::string& dir) {
+    std::istringstream lines(readFile(journalPath(dir)));
+    std::string line;
+    std::size_t count = 0;
+    while (std::getline(lines, line)) ++count;
+    return count;
+}
+
 DurablePolicy journalPolicy(const std::string& dir, bool resume) {
     DurablePolicy policy;
     policy.journalDir = dir;
@@ -143,8 +162,8 @@ DurablePolicy journalPolicy(const std::string& dir, bool resume) {
 
 TEST(BackoffTest, ScheduleIsDeterministicAndBounded) {
     EXPECT_EQ(backoffDelayMs(0), 0u);
-    EXPECT_EQ(backoffDelayMs(1), 0u);  // first retry is immediate
-    EXPECT_EQ(backoffDelayMs(2), 25u);
+    EXPECT_EQ(backoffDelayMs(1), 0u);  // the first attempt never waits
+    EXPECT_EQ(backoffDelayMs(2), 25u);  // the first retry (attempt 2)
     EXPECT_EQ(backoffDelayMs(3), 50u);
     EXPECT_EQ(backoffDelayMs(4), 100u);
     EXPECT_EQ(backoffDelayMs(5), 200u);
@@ -289,11 +308,9 @@ TEST(DurableRun, PersistentFailureQuarantinesWithoutAborting) {
     jobs[2].predictor = "no-such-predictor";  // resolves never, fails always
 
     const std::string dir = freshDir("quarantine");
-    DurablePolicy policy = journalPolicy(dir, false);
-    policy.maxAttempts = 2;
-
-    SimEngine engine({.threads = 1});
-    const DurableRunResult outcome = engine.runDurable(jobs, policy);
+    SimEngine engine({.threads = 1, .maxAttempts = 2});
+    const DurableRunResult outcome =
+        engine.runDurable(jobs, journalPolicy(dir, false));
     ASSERT_EQ(outcome.cells.size(), jobs.size());
     EXPECT_EQ(outcome.countWith(CellStatus::kOk), jobs.size() - 1);
     EXPECT_EQ(outcome.countWith(CellStatus::kFailed), 1u);
@@ -314,7 +331,7 @@ TEST(DurableRun, PersistentFailureQuarantinesWithoutAborting) {
     ASSERT_EQ(failedJobs->asArray().size(), 1u);
 
     // Resume at the same budget: the quarantine is sticky (no re-run)...
-    SimEngine again({.threads = 1});
+    SimEngine again({.threads = 1, .maxAttempts = 2});
     const DurableRunResult sticky =
         again.runDurable(jobs, journalPolicy(dir, true));
     EXPECT_EQ(sticky.cells[2].status, CellStatus::kFailed);
@@ -322,10 +339,9 @@ TEST(DurableRun, PersistentFailureQuarantinesWithoutAborting) {
 
     // ...until --max-attempts is raised, which re-runs (and fails again,
     // with the attempt counter advancing past the journaled failures).
-    DurablePolicy raised = journalPolicy(dir, true);
-    raised.maxAttempts = 3;
-    SimEngine third({.threads = 1});
-    const DurableRunResult retried = third.runDurable(jobs, raised);
+    SimEngine third({.threads = 1, .maxAttempts = 3});
+    const DurableRunResult retried =
+        third.runDurable(jobs, journalPolicy(dir, true));
     EXPECT_EQ(retried.cells[2].status, CellStatus::kFailed);
     EXPECT_EQ(retried.cells[2].attempts, 3u);
 }
@@ -341,11 +357,8 @@ TEST(DurableRun, WallClockWatchdogTripsAndQuarantines) {
     job.predictor = "bimodal";
     job.figure = "test";
 
-    DurablePolicy policy;
-    policy.jobTimeoutMs = 1;
-    policy.maxAttempts = 2;
-    SimEngine engine({.threads = 1});
-    const DurableRunResult outcome = engine.runDurable({job}, policy);
+    SimEngine engine({.threads = 1, .jobTimeoutMs = 1, .maxAttempts = 2});
+    const DurableRunResult outcome = engine.runDurable({job}, {});
     ASSERT_EQ(outcome.cells.size(), 1u);
     EXPECT_EQ(outcome.cells[0].status, CellStatus::kFailed);
     EXPECT_EQ(outcome.cells[0].attempts, 2u);
@@ -368,11 +381,7 @@ TEST(DurableRun, InterruptSkipsPendingJobsThenResumeCompletes) {
 
     // Nothing beyond the manifest may have been journaled: a skipped job
     // must not consume an attempt.
-    std::istringstream lines(readFile(journalPath(dir)));
-    std::string line;
-    std::size_t count = 0;
-    while (std::getline(lines, line)) ++count;
-    EXPECT_EQ(count, 1u);
+    EXPECT_EQ(journalLines(dir), 1u);
 
     SimEngine fresh({.threads = 1});
     const std::string oneShot = sweepDocBytes(fresh.runDurable(jobs, {}));
@@ -389,16 +398,11 @@ TEST(DurableCampaign, ResumeAfterTruncationByteMatchesOneShot) {
     campaign.injections = 8;
     campaign.seed = 7;
 
-    FaultReportMeta meta;  // fixed header; only records/outcomes matter
-    meta.benchmark = benchToken(job.workload);
-    meta.predictor = job.predictor;
-    meta.seed = job.seed;
-    meta.samples = job.samples;
-    meta.updateStage = valueStageName(job.updateStage);
-
+    const FaultReportMeta meta = campaignMeta(job);
     SimEngine plain({.threads = 1});
     const std::string oneShot =
-        faultReportJson(meta, campaign, plain.runCampaign(job, campaign))
+        faultReportJson(meta, campaign,
+                        runCampaign(plain.faultFactory(job), campaign))
             .dump(2);
 
     const std::string dir = freshDir("campaign");
@@ -423,6 +427,75 @@ TEST(DurableCampaign, ResumeAfterTruncationByteMatchesOneShot) {
         faultReportJson(meta, campaign, resumed.result, resumed.failed).dump(2),
         oneShot)
         << "resumed campaign diverged from the uninterrupted run";
+}
+
+TEST(DurableCampaign, WallClockWatchdogQuarantinesInjections) {
+    // Every injected G.721 run outlasts 1 ms of host time, so each attempt
+    // trips the deadline at one of its 2^16-cycle checks.
+    SimJob job = tinyJob(BenchId::kG721Encode, "bimodal", true);
+    job.samples = 2'000;
+    CampaignConfig campaign;
+    campaign.injections = 4;
+
+    const std::string dir = freshDir("campaign_watchdog");
+    SimEngine engine({.threads = 1, .jobTimeoutMs = 1, .maxAttempts = 2});
+    const DurableCampaignResult outcome =
+        engine.runCampaignDurable(job, campaign, journalPolicy(dir, false));
+    EXPECT_FALSE(outcome.interrupted);
+    EXPECT_TRUE(outcome.result.records.empty());
+    EXPECT_EQ(engine.stats().jobsRun, 0u);
+    ASSERT_EQ(outcome.failed.size(), campaign.injections);
+    for (std::size_t i = 0; i < outcome.failed.size(); ++i) {
+        EXPECT_EQ(outcome.failed[i].index, i);
+        EXPECT_EQ(outcome.failed[i].attempts, 2u);
+        EXPECT_EQ(outcome.failed[i].error,
+                  watchdogMessage("job", "wall-clock", 1, "ms"));
+    }
+
+    // Resumed at the same budget, the quarantine is sticky: no injection
+    // runs again and the journal gains no record.
+    const std::size_t lines = journalLines(dir);
+    SimEngine again({.threads = 1, .jobTimeoutMs = 1, .maxAttempts = 2});
+    const DurableCampaignResult sticky =
+        again.runCampaignDurable(job, campaign, journalPolicy(dir, true));
+    ASSERT_EQ(sticky.failed.size(), campaign.injections);
+    for (const FailedInjection& failed : sticky.failed) {
+        EXPECT_EQ(failed.attempts, 2u);
+        EXPECT_EQ(failed.error, watchdogMessage("job", "wall-clock", 1, "ms"));
+    }
+    EXPECT_EQ(journalLines(dir), lines);
+}
+
+TEST(DurableCampaign, InterruptSkipsPendingInjectionsThenResumeCompletes) {
+    const SimJob job = tinyJob(BenchId::kAdpcmEncode, "bimodal", true);
+    CampaignConfig campaign;
+    campaign.injections = 4;
+    campaign.seed = 7;
+    const FaultReportMeta meta = campaignMeta(job);
+
+    const std::string dir = freshDir("campaign_interrupt");
+    std::atomic<bool> interrupted{true};  // raised before anything ran
+    DurablePolicy policy = journalPolicy(dir, false);
+    policy.interrupted = &interrupted;
+    SimEngine engine({.threads = 1});
+    const DurableCampaignResult outcome =
+        engine.runCampaignDurable(job, campaign, policy);
+    EXPECT_TRUE(outcome.interrupted);
+    EXPECT_TRUE(outcome.result.records.empty());
+    EXPECT_TRUE(outcome.failed.empty());
+    EXPECT_EQ(journalLines(dir), 1u);  // the manifest alone
+
+    SimEngine plain({.threads = 1});
+    const std::string oneShot =
+        faultReportJson(meta, campaign,
+                        runCampaign(plain.faultFactory(job), campaign))
+            .dump(2);
+    SimEngine resumed({.threads = 1});
+    const DurableCampaignResult done =
+        resumed.runCampaignDurable(job, campaign, journalPolicy(dir, true));
+    EXPECT_FALSE(done.interrupted);
+    EXPECT_EQ(faultReportJson(meta, campaign, done.result, done.failed).dump(2),
+              oneShot);
 }
 
 TEST(DurableCampaign, ManifestPinsCampaignConfig) {

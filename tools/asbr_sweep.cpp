@@ -191,8 +191,6 @@ int main(int argc, char** argv) {
     driver::DurablePolicy policy;
     policy.journalDir = options.journalDir;
     policy.resume = options.resume;
-    policy.maxAttempts = options.maxAttempts;
-    policy.jobTimeoutMs = options.jobTimeoutMs;
     policy.interrupted = &gInterrupted;
     const driver::DurableRunResult outcome = engine.runDurable(jobs, policy);
 
