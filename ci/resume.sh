@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: crash-safe sweeps (docs/robustness.md).
 #
-# Proves, with the real binaries, the three durable-execution properties the
-# unit tests pin at the library layer:
+# Proves, with the real binaries, the durable-execution properties the unit
+# tests pin at the library layer:
 #
 #   1. kill-and-resume — an asbr-sweep SIGKILL'd mid-grid and resumed with
 #      --resume must write a report byte-identical to the run that never
@@ -12,7 +12,9 @@
 #   3. quarantine — a persistently failing job (1 ms wall-clock watchdog)
 #      must land in the report's failed_jobs section with exit code 3, not
 #      abort the grid, for a sweep cell and for a campaign's injections;
-#      and the same kill-and-resume must hold for an asbr-faults campaign.
+#      and the same kill-and-resume must hold for an asbr-faults campaign;
+#   4. duplicate keys — a journaled grid whose cells repeat a job key runs
+#      each key once at --threads=8, byte-identical to --threads=1.
 #
 # The kill lands mid-run by construction: each run is SIGKILL'd as soon as
 # its journal records the first completed job, and the grid has more jobs
@@ -112,6 +114,41 @@ for threads in 1 8; do
         status=1
     }
 done
+
+# ------------------------------------------------------ duplicate keys ---
+# adpcm-enc's paper BIT size is 4, so --bits=0,4 gives 16 cells but only 8
+# job keys; each key must run (and write its journal artifact) once.
+echo "--- duplicate job keys at --threads=8"
+DUP_ARGS=(--workloads=adpcm-enc --bits=0,4 --stages=ex_end,commit
+          --predictors=bimodal,gshare,tage,perceptron --quick)
+"$SWEEP" "${DUP_ARGS[@]}" --threads=1 --json="$tmpdir/dup_t1.json" \
+    > /dev/null 2>&1
+if ! "$SWEEP" "${DUP_ARGS[@]}" --threads=8 --journal="$tmpdir/dupj" \
+        --json="$tmpdir/dup_t8.json" > /dev/null 2> "$tmpdir/dup.log"; then
+    echo "FAIL: duplicate-key sweep failed:" >&2
+    cat "$tmpdir/dup.log" >&2
+    status=1
+else
+    done_records=$(grep -c '"status":"done"' "$tmpdir/dupj/journal.jsonl" \
+                   || true)
+    done_keys=$(grep -o '"status":"done","jobKey":"[^"]*"' \
+                "$tmpdir/dupj/journal.jsonl" | sort -u | wc -l)
+    if [[ $done_records -ne 8 || $done_keys -ne 8 ]]; then
+        echo "FAIL: want one done record for each of 8 keys, got" \
+             "$done_records record(s) for $done_keys key(s)" >&2
+        status=1
+    elif ! cmp -s "$tmpdir/dup_t1.json" "$tmpdir/dup_t8.json"; then
+        echo "FAIL: duplicate-key sweep differs between --threads=1 and 8:" >&2
+        diff "$tmpdir/dup_t1.json" "$tmpdir/dup_t8.json" | head -20 >&2
+        status=1
+    else
+        echo "ok: 16 cells, 8 keys, one done record each, byte-identical"
+    fi
+    "$STATS" validate "$tmpdir/dup_t8.json" > /dev/null || {
+        echo "FAIL: duplicate-key sweep report does not validate" >&2
+        status=1
+    }
+fi
 
 # ------------------------------------------------------------ quarantine ---
 echo "--- quarantine (1 ms wall-clock watchdog)"

@@ -89,13 +89,60 @@ WorkloadArtifacts::WorkloadArtifacts(const WorkloadKey& key)
     : key_(key),
       prepared_(prepare(key.workload, key.scheduled, key.seed, key.samples)) {}
 
-const ProgramProfile& WorkloadArtifacts::profile() const {
-    std::call_once(profileOnce_, [this] {
+void WorkloadArtifacts::registerPrediction(const std::string& token) const {
+    std::lock_guard<std::mutex> lock(registryMutex_);
+    registered_.insert(token);
+}
+
+std::shared_ptr<const WorkloadArtifacts::ProfileWalk>
+WorkloadArtifacts::sharedWalk(const std::function<void()>& poll) const {
+    return walk_.get(true, [&] {
+        std::vector<std::string> tokens;
+        {
+            std::lock_guard<std::mutex> lock(registryMutex_);
+            tokens.assign(registered_.begin(), registered_.end());
+        }
+        // A token that names no predictor rides along with nothing: its own
+        // request walks alone and reports the error.
+        std::vector<std::unique_ptr<BranchPredictor>> owned;
+        std::vector<BranchPredictor*> predictors;
+        std::vector<std::string> carried;
+        for (const std::string& token : tokens) {
+            auto predictor = makePredictorByToken(token);
+            if (predictor == nullptr) continue;
+            predictors.push_back(predictor.get());
+            owned.push_back(std::move(predictor));
+            carried.push_back(token);
+        }
         Memory memory = makeMemory(prepared_);
-        profile_ = profileProgram(prepared_.program, memory,
-                                  PipelineConfig{}.maxCycles);
+        WalkProfiles profiles = profileWalk(prepared_.program, memory,
+                                            predictors,
+                                            PipelineConfig{}.maxCycles, poll);
+        auto walk = std::make_shared<ProfileWalk>();
+        walk->program = std::move(profiles.program);
+        for (std::size_t i = 0; i < carried.size(); ++i)
+            walk->predictions.emplace(
+                carried[i], std::make_shared<const PredictionProfile>(
+                                std::move(profiles.predictions[i])));
+        return std::shared_ptr<const ProfileWalk>(std::move(walk));
     });
-    return *profile_;
+}
+
+const ProgramProfile& WorkloadArtifacts::profile() const {
+    return profile({});
+}
+
+const ProgramProfile& WorkloadArtifacts::profile(
+    const std::function<void()>& poll) const {
+    // The walk lives in walk_ as long as this object does.
+    return sharedWalk(poll)->program;
+}
+
+std::vector<std::string> WorkloadArtifacts::profileWalkTokens() const {
+    std::vector<std::string> tokens;
+    for (const auto& entry : sharedWalk({})->predictions)
+        tokens.push_back(entry.first);
+    return tokens;
 }
 
 const PredictionProfile& WorkloadArtifacts::baselineAccuracy() const {
@@ -106,6 +153,16 @@ const PredictionProfile& WorkloadArtifacts::baselineAccuracy() const {
 std::shared_ptr<const PredictionProfile> WorkloadArtifacts::predictionProfile(
     const std::string& token) const {
     return predictions_.get(token, [&] {
+        bool registered = false;
+        {
+            std::lock_guard<std::mutex> lock(registryMutex_);
+            registered = registered_.count(token) != 0;
+        }
+        if (registered) {
+            const auto walk = sharedWalk({});
+            const auto it = walk->predictions.find(token);
+            if (it != walk->predictions.end()) return it->second;
+        }
         std::string error;
         auto predictor = makePredictorByToken(token, &error);
         ASBR_ENSURE(predictor != nullptr, error);

@@ -6,8 +6,10 @@
 // engine would recompute them on every worker.  This layer computes each
 // artifact exactly once per key and shares the result read-only:
 //
-//   WorkloadKey  -> WorkloadArtifacts   program + input (+ lazy profile,
-//                                       per-token prediction profiles and
+//   WorkloadKey  -> WorkloadArtifacts   program + input (+ lazy profile
+//                                       walk, which also fills the
+//                                       registered tokens' prediction
+//                                       profiles; other tokens' profiles and
 //                                       per-geometry fast-forward logs)
 //   SelectionKey -> SelectionArtifacts  selected candidates + extracted
 //                                       BIT/static-fold entries
@@ -25,7 +27,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "asbr/asbr_unit.hpp"
@@ -81,30 +84,40 @@ struct Prepared {
 /// Thread-safe once-per-key store of immutable values: a key's first
 /// requester computes, concurrent requesters for the same key block on a
 /// shared_future, and requesters of *different* keys never serialize against
-/// the computation.  A computation that throws is not kept: its requesters
-/// at the time rethrow the error, and a later request computes again (a
-/// walk abandoned at one job's deadline must not fail the jobs after it).
+/// the computation.  A computation that throws is not kept: its requester
+/// rethrows the error, and every other requester, waiting or later, computes
+/// again with its own `make` (a walk abandoned at one job's deadline must not
+/// fail another job, whose deadline may be far off).
 template <typename Key, typename Value>
 class OncePerKey {
 public:
     /// The value for `key`, computing it with `make()` on first request.
     template <typename Make>
     [[nodiscard]] std::shared_ptr<const Value> get(const Key& key, Make make) {
-        std::promise<std::shared_ptr<const Value>> promise;
-        Slot slot;
-        bool owner = false;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            const auto [it, inserted] = slots_.try_emplace(key);
-            if (inserted) {
-                it->second = promise.get_future().share();
-                owner = true;
-            } else {
-                hits_.fetch_add(1, std::memory_order_relaxed);
+        for (;;) {
+            std::promise<std::shared_ptr<const Value>> promise;
+            Slot slot;
+            bool owner = false;
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                const auto [it, inserted] = slots_.try_emplace(key);
+                if (inserted) {
+                    it->second = promise.get_future().share();
+                    owner = true;
+                } else {
+                    hits_.fetch_add(1, std::memory_order_relaxed);
+                }
+                slot = it->second;
             }
-            slot = it->second;
-        }
-        if (owner) {
+            if (!owner) {
+                try {
+                    return slot.get();
+                } catch (...) {
+                    // Another requester's computation failed and its slot is
+                    // gone: request again.
+                    continue;
+                }
+            }
             // Compute outside the lock: concurrent requests for *other* keys
             // proceed; concurrent requests for *this* key block on the future.
             try {
@@ -117,8 +130,8 @@ public:
                 }
                 promise.set_exception(std::current_exception());
             }
+            return slot.get();
         }
-        return slot.get();
     }
 
     /// Requests served from an already-inserted entry.
@@ -174,6 +187,11 @@ struct SelectionKey {
 /// safe.  All are functional (ISS) passes bounded at PipelineConfig::maxCycles
 /// instructions: the pipeline commits at most one instruction per cycle, so
 /// every program a job's own run accepts completes within the bound.
+///
+/// The profile walk also replays every predictor registered before it
+/// begins (registerPrediction), so the branch profile and those prediction
+/// profiles cost one pass over the committed stream.  A token registered
+/// later, or never, walks alone when first requested.
 class WorkloadArtifacts {
 public:
     explicit WorkloadArtifacts(const WorkloadKey& key);
@@ -181,8 +199,23 @@ public:
     [[nodiscard]] const WorkloadKey& key() const { return key_; }
     [[nodiscard]] const Prepared& prepared() const { return prepared_; }
 
+    /// Have the profile walk also fill predictionProfile(token).  A token
+    /// registered after the walk began gets a walk of its own.
+    void registerPrediction(const std::string& token) const;
+
     /// Functional branch profile (lazy, computed once).
     [[nodiscard]] const ProgramProfile& profile() const;
+
+    /// profile() under a deadline: when this call runs the walk, `poll` runs
+    /// at least every kWalkPollInterval instructions and may throw to abandon
+    /// it.  An abandoned walk is not kept: a request that was waiting on it,
+    /// like any later one, walks again under its own poll.
+    [[nodiscard]] const ProgramProfile& profile(
+        const std::function<void()>& poll) const;
+
+    /// The registry tokens whose prediction profiles the profile walk
+    /// filled, sorted (runs the walk if it has not run).
+    [[nodiscard]] std::vector<std::string> profileWalkTokens() const;
 
     /// The bimodal-2048 reference predictor's per-site record — the
     /// hardness reference every selection uses (paper §6).  It is the
@@ -207,10 +240,21 @@ public:
         const std::function<void()>& poll = {}) const;
 
 private:
+    /// What the profile walk fills.
+    struct ProfileWalk {
+        ProgramProfile program;
+        std::map<std::string, std::shared_ptr<const PredictionProfile>>
+            predictions;
+    };
+    [[nodiscard]] std::shared_ptr<const ProfileWalk> sharedWalk(
+        const std::function<void()>& poll) const;
+
     WorkloadKey key_;
     Prepared prepared_;
-    mutable std::once_flag profileOnce_;
-    mutable std::optional<ProgramProfile> profile_;
+    mutable std::mutex registryMutex_;
+    /// Every registered token; guarded by registryMutex_.
+    mutable std::set<std::string> registered_;
+    mutable OncePerKey<bool, ProfileWalk> walk_;  ///< one key: the walk
     mutable OncePerKey<std::string, PredictionProfile> predictions_;
     mutable OncePerKey<SamplingConfig, FastForwardLog> logs_;
 };

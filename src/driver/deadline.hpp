@@ -25,6 +25,7 @@
 #include <chrono>
 #include <cstdint>
 
+#include "sim/functional.hpp"
 #include "sim/pipeline.hpp"
 
 namespace asbr::driver {
@@ -32,8 +33,9 @@ namespace asbr::driver {
 class Deadline : public CycleHook {
 public:
     /// Cycles between wall-clock checks (power of two; the hook is on the
-    /// per-cycle path, so the common case must be one counter increment).
-    static constexpr std::uint64_t kCheckInterval = 1u << 16;
+    /// per-cycle path, so the common case must be one counter increment):
+    /// the interval at which a functional walk polls, too.
+    static constexpr std::uint64_t kCheckInterval = kWalkPollInterval;
 
     /// `wallMs == 0` disables the timeout; `interrupted` may be null.
     explicit Deadline(std::uint64_t wallMs,

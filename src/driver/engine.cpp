@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <map>
 #include <thread>
 #include <utility>
 
@@ -178,7 +179,15 @@ SelectionKey SimEngine::selectionKeyFor(const SimJob& job) const {
 
 std::shared_ptr<const WorkloadArtifacts> SimEngine::workloadFor(
     const SimJob& job) {
-    return cache_.workload(workloadKeyFor(job));
+    auto workload = cache_.workload(workloadKeyFor(job));
+    // Name the reference profiles this job's selection reads, so that the
+    // workload's profile walk replays them (SelectionArtifacts reads
+    // "bimodal" when selectionKeyFor sets useAccuracy or predictorAware).
+    if (job.asbr && (job.accuracyRef || job.predictorAware))
+        workload->registerPrediction("bimodal");
+    if (job.asbr && job.predictorAware)
+        workload->registerPrediction(job.predictor);
+    return workload;
 }
 
 std::shared_ptr<const SelectionArtifacts> SimEngine::selectionFor(
@@ -251,7 +260,7 @@ std::string SimEngine::campaignManifestDigest(
 
 JobResult SimEngine::execute(const SimJob& job, Deadline& deadline) {
     const WorkloadKey workloadKey = workloadKeyFor(job);
-    const auto workload = cache_.workload(workloadKey);
+    const auto workload = workloadFor(job);
     std::string predictorError;
     auto predictor = makePredictorByToken(job.predictor, &predictorError);
     ASBR_ENSURE(predictor != nullptr, "engine: " + predictorError);
@@ -259,6 +268,10 @@ JobResult SimEngine::execute(const SimJob& job, Deadline& deadline) {
     std::shared_ptr<const SelectionArtifacts> selection;
     std::unique_ptr<AsbrUnit> unit;
     if (job.asbr) {
+        // The first ASBR job on a workload runs its profile walk here and
+        // checks its deadline during the walk, as for the fast-forward log
+        // below; the selection then reads the walk's profiles.
+        (void)workload->profile([&deadline] { deadline.check(); });
         selection = cache_.selection(selectionKeyFor(job));
         unit = selection->makeUnit(job.parityProtected);
     }
@@ -381,9 +394,20 @@ DurableRunResult SimEngine::runDurable(const std::vector<SimJob>& jobs,
     const CellJournal<JsonValue> log{journal.get(), sameJson, sameJson};
     DurableRunResult out;
     out.cells.resize(jobs.size());
-    parallelFor(jobs.size(), config_.threads, [&](std::size_t i) {
+    // Cells with equal keys produce equal reports (a sweep whose BIT sizes
+    // resolve to one capacity repeats its cells), so each distinct key runs
+    // once and every cell with that key gets the one outcome: no two workers
+    // write the same journal artifact.
+    std::map<std::string, std::size_t> firstCell;
+    std::vector<std::size_t> distinct;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        out.cells[i].key = jobKey(jobs[i]);
+        if (firstCell.try_emplace(out.cells[i].key, i).second)
+            distinct.push_back(i);
+    }
+    parallelFor(distinct.size(), config_.threads, [&](std::size_t k) {
+        const std::size_t i = distinct[k];
         CellOutcome& outcome = out.cells[i];
-        outcome.key = jobKey(jobs[i]);
         Cell<JsonValue> cell = runCell(
             config_, outcome.key, log, policy.interrupted,
             [&](Deadline& deadline) {
@@ -395,6 +419,10 @@ DurableRunResult SimEngine::runDurable(const std::vector<SimJob>& jobs,
         outcome.report = std::move(cell.result);
         outcome.error = std::move(cell.error);
     });
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const std::size_t first = firstCell.at(out.cells[i].key);
+        if (first != i) out.cells[i] = out.cells[first];
+    }
     for (const CellOutcome& cell : out.cells)
         if (cell.resumed) ++out.resumedJobs;
     jobsResumed_.fetch_add(out.resumedJobs, std::memory_order_relaxed);

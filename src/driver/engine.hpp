@@ -126,6 +126,8 @@ public:
     [[nodiscard]] SelectionKey selectionKeyFor(const SimJob& job) const;
 
     /// Resolve (and cache) a job's artifacts without simulating.
+    /// workloadFor also registers the reference tokens the job's selection
+    /// reads, so that the workload's one profile walk replays them.
     [[nodiscard]] std::shared_ptr<const WorkloadArtifacts> workloadFor(
         const SimJob& job);
     [[nodiscard]] std::shared_ptr<const SelectionArtifacts> selectionFor(
@@ -154,7 +156,8 @@ public:
     /// resume, and quarantine instead of abort on top of the watchdog and
     /// retry every job gets.  Cell order is submission order; a resumed run
     /// splices journal artifacts and serializes byte-identically to the
-    /// uninterrupted run at any thread count.
+    /// uninterrupted run at any thread count.  Each distinct job key runs
+    /// once, and every cell with that key gets its outcome.
     [[nodiscard]] DurableRunResult runDurable(const std::vector<SimJob>& jobs,
                                               const DurablePolicy& policy);
 

@@ -18,11 +18,6 @@ std::size_t resolveThreads(std::size_t threads) {
 void parallelFor(std::size_t count, std::size_t threads,
                  const std::function<void(std::size_t)>& body) {
     threads = std::min(resolveThreads(threads), count);
-    if (threads <= 1) {
-        for (std::size_t i = 0; i < count; ++i) body(i);
-        return;
-    }
-
     std::atomic<std::size_t> next{0};
     std::exception_ptr firstError;
     std::mutex errorMutex;
@@ -41,10 +36,14 @@ void parallelFor(std::size_t count, std::size_t threads,
         }
     };
 
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
+    if (threads <= 1) {
+        worker();
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(threads);
+        for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
+        for (std::thread& t : pool) t.join();
+    }
     if (firstError) std::rethrow_exception(firstError);
 }
 

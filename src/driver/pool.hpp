@@ -7,8 +7,9 @@
 // merging is therefore always in submission order and the output of a batch
 // is independent of the thread count and of scheduling luck.
 //
-// threads <= 1 (or count <= 1) degenerates to a plain loop on the calling
-// thread: the serial path and the parallel path execute the exact same body.
+// threads <= 1 (or count <= 1) runs the one worker loop on the calling
+// thread: the serial path and the parallel path execute the exact same body
+// and drain the same way after an error.
 #pragma once
 
 #include <cstddef>

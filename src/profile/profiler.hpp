@@ -9,8 +9,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "asm/program.hpp"
 #include "bp/predictor.hpp"
@@ -90,5 +93,23 @@ struct PredictionProfile {
 [[nodiscard]] PredictionProfile profilePredictions(
     const Program& program, Memory& memory, BranchPredictor& predictor,
     std::uint64_t maxInstructions = 500'000'000);
+
+/// The branch profile and one prediction profile per predictor, from one
+/// functional walk.
+struct WalkProfiles {
+    ProgramProfile program;
+    std::vector<PredictionProfile> predictions;  ///< in predictor order
+};
+
+/// profileProgram and one profilePredictions per entry of `predictors` in a
+/// single decode-cached walk: each profile equals, field for field, what its
+/// own walk gives.  `poll`, when set, runs at least once every
+/// kWalkPollInterval (sim/functional.hpp) instructions and may throw to
+/// abandon the walk.
+[[nodiscard]] WalkProfiles profileWalk(
+    const Program& program, Memory& memory,
+    std::span<BranchPredictor* const> predictors,
+    std::uint64_t maxInstructions = 500'000'000,
+    const std::function<void()>& poll = {});
 
 }  // namespace asbr

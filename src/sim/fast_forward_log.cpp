@@ -119,7 +119,7 @@ FastForwardLog FastForwardLog::record(const Program& program, Memory& memory,
             position + std::min(log.spacing_, maxInstructions - position);
         while (position < end && !io.exited) {
             const std::uint64_t stop =
-                position + std::min(kPollInterval, end - position);
+                position + std::min(kWalkPollInterval, end - position);
             std::uint64_t at = position;  // position of the next instruction
             position += walk(
                 decode, state, memory, io, stop - position,

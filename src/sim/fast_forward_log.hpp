@@ -63,15 +63,14 @@ public:
 
     /// Smallest checkpoint spacing, in instructions.
     static constexpr std::uint64_t kMinSpacing = std::uint64_t{1} << 12;
-    /// Most instructions the walk runs between two calls of its `poll`.
-    static constexpr std::uint64_t kPollInterval = std::uint64_t{1} << 16;
 
     /// Walk `program` to exit on `memory` — a freshly prepared image, which
     /// the walk consumes — and record the log for `sampling`; with
     /// `sampling.skip == 0` return an empty log without walking.  `poll`,
-    /// when set, runs at least once every kPollInterval instructions of the
-    /// walk and may throw to abandon it.  Throws SimTimeoutError once
-    /// `maxInstructions` execute without an exit.
+    /// when set, runs at least once every kWalkPollInterval
+    /// (sim/functional.hpp) instructions of the walk and may throw to
+    /// abandon it.  Throws SimTimeoutError once `maxInstructions` execute
+    /// without an exit.
     [[nodiscard]] static FastForwardLog record(
         const Program& program, Memory& memory, const SamplingConfig& sampling,
         std::uint64_t maxInstructions,

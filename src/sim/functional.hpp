@@ -7,6 +7,7 @@
 // log's recording walk and sampled drift all step through it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <type_traits>
@@ -47,6 +48,11 @@ inline std::uint64_t walk(DecodeCache& decode, ArchState& state,
     return n;
 }
 
+/// Most instructions a functional pass runs between two calls of its poll
+/// (FunctionalSim::run, FastForwardLog::record); a deadline's poll reads the
+/// clock, so this keeps the check off the per-instruction path.
+inline constexpr std::uint64_t kWalkPollInterval = std::uint64_t{1} << 16;
+
 /// The address store `dec` wrote, read from the registers after it executed:
 /// a store writes no register, so its base is unchanged.
 [[nodiscard]] inline std::uint32_t storeAddress(const DecodedOp& dec,
@@ -79,12 +85,21 @@ public:
     FunctionalResult run(std::uint64_t maxInstructions = 500'000'000);
 
     /// run() with `observe`, a walk() observer, in place of the trace hook.
+    /// `poll`, when set, runs at least once every kWalkPollInterval
+    /// instructions and may throw to abandon the run.
     template <class Observer>
-    FunctionalResult run(std::uint64_t maxInstructions, Observer&& observe) {
+    FunctionalResult run(std::uint64_t maxInstructions, Observer&& observe,
+                         const std::function<void()>& poll = {}) {
         FunctionalResult result;
         IoContext io;
-        result.instructions =
-            walk(decode_, state_, memory_, io, maxInstructions, observe);
+        while (result.instructions < maxInstructions && !io.exited) {
+            result.instructions += walk(
+                decode_, state_, memory_, io,
+                std::min(kWalkPollInterval,
+                         maxInstructions - result.instructions),
+                observe);
+            if (poll) poll();
+        }
         if (!io.exited)
             throw SimTimeoutError(watchdogMessage(
                 "functional", "instruction", maxInstructions, "instructions"));

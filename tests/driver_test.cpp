@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -214,6 +215,32 @@ TEST(ArtifactCacheTest, ThrownComputationIsNotKept) {
     EXPECT_EQ(store.hits(), 1u);
 }
 
+TEST(ArtifactCacheTest, WaiterOfAThrownComputationComputesItself) {
+    // A request blocked on another's computation when that one throws (its
+    // job's deadline) computes with its own make: it does not fail with
+    // another job's error.
+    OncePerKey<int, int> store;
+    std::atomic<bool> computing{false};
+    std::thread owner([&] {
+        EXPECT_THROW((void)store.get(1, [&]() -> std::shared_ptr<const int> {
+                         computing = true;
+                         // Throw only once the waiter holds this slot.
+                         while (store.hits() == 0) std::this_thread::yield();
+                         throw JobTimeoutError("owner's deadline");
+                     }),
+                     JobTimeoutError);
+    });
+    while (!computing) std::this_thread::yield();
+    std::shared_ptr<const int> value;
+    EXPECT_NO_THROW(
+        value = store.get(1, [] { return std::make_shared<const int>(7); }));
+    owner.join();
+    ASSERT_NE(value, nullptr);
+    EXPECT_EQ(*value, 7);
+    EXPECT_EQ(store.computes(), 1u);
+    EXPECT_EQ(store.hits(), 1u);
+}
+
 TEST(ArtifactCacheTest, ComputesOncePerKeyUnderConcurrentSubmission) {
     // 16 identical ASBR jobs race for the same two cache keys on 8 workers:
     // the workload must be loaded+profiled once and the selection computed
@@ -294,6 +321,141 @@ TEST(ArtifactCacheTest, PredictionTokensAreNotCacheHits) {
     EXPECT_EQ(registry.findCounter("engine.cache_hits")->value(), 12u);
 }
 
+/// predictionProfile(token) of `workload` equals a walk of its own.
+void expectOwnWalkProfile(const WorkloadArtifacts& workload,
+                          const std::string& token) {
+    Memory memory = makeMemory(workload.prepared());
+    const auto predictor = makePredictorByToken(token);
+    const PredictionProfile want =
+        profilePredictions(workload.prepared().program, memory, *predictor,
+                           PipelineConfig{}.maxCycles);
+    const PredictionProfile& got = *workload.predictionProfile(token);
+    EXPECT_EQ(got.predictorToken, want.predictorToken) << token;
+    EXPECT_EQ(got.branches, want.branches) << token;
+    EXPECT_EQ(got.mispredicts, want.mispredicts) << token;
+    ASSERT_EQ(got.sites.size(), want.sites.size()) << token;
+    for (const auto& [pc, site] : want.sites) {
+        const SitePrediction& g = got.sites.at(pc);
+        EXPECT_EQ(g.pc, site.pc) << token;
+        EXPECT_EQ(g.execs, site.execs) << token << " pc " << pc;
+        EXPECT_EQ(g.mispredicts, site.mispredicts) << token << " pc " << pc;
+    }
+}
+
+TEST(ProfileWalkRegistrationTest, AccuracyRefJobsWalkWithTheBimodalReference) {
+    SimEngine engine;
+    const SimJob job = tinyJob(BenchId::kAdpcmEncode, "bi512", true);
+    const auto workload = engine.workloadFor(job);
+    EXPECT_EQ(workload->profileWalkTokens(),
+              std::vector<std::string>{"bimodal"});
+    expectOwnWalkProfile(*workload, "bimodal");
+    EXPECT_EQ(&workload->baselineAccuracy(),
+              workload->predictionProfile("bimodal").get());
+
+    // A predictor-aware job adds its own token.
+    SimJob aware = tinyJob(BenchId::kAdpcmDecode, "tage", true);
+    aware.predictorAware = true;
+    const auto awareWorkload = engine.workloadFor(aware);
+    EXPECT_EQ(awareWorkload->profileWalkTokens(),
+              (std::vector<std::string>{"bimodal", "tage"}));
+    expectOwnWalkProfile(*awareWorkload, "tage");
+}
+
+TEST(ProfileWalkRegistrationTest, AccuracyRefOffJobsWalkWithNoPredictor) {
+    SimEngine engine;
+    SimJob job = tinyJob(BenchId::kAdpcmEncode, "bi512", true);
+    job.accuracyRef = false;
+    (void)engine.workloadFor(tinyJob(BenchId::kAdpcmEncode, "tage", false));
+    EXPECT_TRUE(engine.workloadFor(job)->profileWalkTokens().empty());
+}
+
+TEST(ProfileWalkRegistrationTest, UnknownTokenRidesWithNothing) {
+    // A job naming no predictor fails on its own request; the walk, and the
+    // other jobs on the workload, are unaffected.
+    const SimJob job = tinyJob(BenchId::kAdpcmEncode, "bimodal", true);
+    const WorkloadArtifacts workload(
+        {job.workload, job.scheduled, job.seed, job.samples});
+    workload.registerPrediction("bimodal");
+    workload.registerPrediction("no-such-predictor");
+    EXPECT_EQ(workload.profileWalkTokens(),
+              std::vector<std::string>{"bimodal"});
+    EXPECT_THROW((void)workload.predictionProfile("no-such-predictor"),
+                 EnsureError);
+    expectOwnWalkProfile(workload, "bimodal");
+}
+
+TEST(ProfileWalkRegistrationTest, TokenNamedAfterTheWalkWalksAlone) {
+    SimEngine engine;
+    const SimJob job = tinyJob(BenchId::kAdpcmEncode, "bi512", true);
+    const auto workload = engine.workloadFor(job);
+    (void)workload->profile();
+    SimJob aware = job;
+    aware.predictor = "gshare";
+    aware.predictorAware = true;
+    EXPECT_EQ(engine.workloadFor(aware), workload);
+    EXPECT_EQ(workload->profileWalkTokens(),
+              std::vector<std::string>{"bimodal"});
+    expectOwnWalkProfile(*workload, "gshare");
+}
+
+TEST(ProfileWalkRegistrationTest, AbandonedWalkIsNotKept) {
+    // A walk abandoned at its poll (a job's deadline) fails its request
+    // only; the next request walks again, carrying the tokens registered
+    // in between.
+    const SimJob job = tinyJob(BenchId::kAdpcmEncode, "bimodal", true);
+    const WorkloadArtifacts workload(
+        {job.workload, job.scheduled, job.seed, job.samples});
+    workload.registerPrediction("bimodal");
+    EXPECT_THROW((void)workload.profile(
+                     [] { throw JobTimeoutError("abandoned"); }),
+                 JobTimeoutError);
+    workload.registerPrediction("gshare");
+    EXPECT_EQ(workload.profileWalkTokens(),
+              (std::vector<std::string>{"bimodal", "gshare"}));
+    Memory memory = makeMemory(workload.prepared());
+    EXPECT_EQ(workload.profile().instructions,
+              profileProgram(workload.prepared().program, memory,
+                             PipelineConfig{}.maxCycles)
+                  .instructions);
+    expectOwnWalkProfile(workload, "gshare");
+}
+
+TEST(ProfileWalkRegistrationTest, WaiterOfAnAbandonedWalkWalksUnderItsOwnPoll) {
+    // Two jobs on one workload: the first walks and is abandoned at its
+    // deadline; the second, waiting with a generous deadline, walks again
+    // under its own poll and gets the full profile.
+    const SimJob job = tinyJob(BenchId::kAdpcmEncode, "bimodal", true);
+    const WorkloadArtifacts workload(
+        {job.workload, job.scheduled, job.seed, job.samples});
+    workload.registerPrediction("bimodal");
+    std::atomic<bool> ownerWalking{false};
+    std::thread owner([&] {
+        EXPECT_THROW((void)workload.profile([&] {
+                         ownerWalking = true;
+                         // Give the second job time to wait on this walk.
+                         std::this_thread::sleep_for(
+                             std::chrono::milliseconds(50));
+                         throw JobTimeoutError("first job's deadline");
+                     }),
+                     JobTimeoutError);
+    });
+    while (!ownerWalking) std::this_thread::yield();
+    bool waiterPolled = false;
+    const ProgramProfile* profile = nullptr;
+    EXPECT_NO_THROW(profile = &workload.profile([&] { waiterPolled = true; }));
+    owner.join();
+    ASSERT_NE(profile, nullptr);
+    EXPECT_TRUE(waiterPolled);
+    Memory memory = makeMemory(workload.prepared());
+    EXPECT_EQ(profile->instructions,
+              profileProgram(workload.prepared().program, memory,
+                             PipelineConfig{}.maxCycles)
+                  .instructions);
+    EXPECT_EQ(workload.profileWalkTokens(),
+              std::vector<std::string>{"bimodal"});
+    expectOwnWalkProfile(workload, "bimodal");
+}
+
 TEST(PoolTest, ParallelForVisitsEveryIndexExactlyOnce) {
     std::vector<std::atomic<int>> visits(257);
     parallelFor(visits.size(), 8, [&](std::size_t i) {
@@ -303,17 +465,21 @@ TEST(PoolTest, ParallelForVisitsEveryIndexExactlyOnce) {
 }
 
 TEST(PoolTest, ParallelForDrainsAndRethrowsFirstError) {
-    std::atomic<std::size_t> visited{0};
-    EXPECT_THROW(parallelFor(64, 8,
-                             [&](std::size_t i) {
-                                 visited.fetch_add(1,
-                                                   std::memory_order_relaxed);
-                                 if (i == 3)
-                                     throw std::runtime_error("boom");
-                             }),
-                 std::runtime_error);
-    // Errors must not abandon the rest of the batch.
-    EXPECT_EQ(visited.load(), 64u);
+    // Errors must not abandon the rest of the batch, on one thread as on
+    // eight.
+    for (const std::size_t threads : {1, 8}) {
+        std::atomic<std::size_t> visited{0};
+        EXPECT_THROW(parallelFor(64, threads,
+                                 [&](std::size_t i) {
+                                     visited.fetch_add(
+                                         1, std::memory_order_relaxed);
+                                     if (i == 3)
+                                         throw std::runtime_error("boom");
+                                 }),
+                     std::runtime_error)
+            << threads << " thread(s)";
+        EXPECT_EQ(visited.load(), 64u) << threads << " thread(s)";
+    }
 }
 
 TEST(CliOptionsTest, SharedOptionsParse) {

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "driver/engine.hpp"
 #include "driver/journal.hpp"
 #include "driver/names.hpp"
+#include "driver/sweep.hpp"
 #include "report/fault_report.hpp"
 #include "report/sweep_report.hpp"
 #include "util/ensure.hpp"
@@ -364,6 +366,64 @@ TEST(DurableRun, WallClockWatchdogTripsAndQuarantines) {
     EXPECT_EQ(outcome.cells[0].attempts, 2u);
     EXPECT_EQ(outcome.cells[0].error,
               watchdogMessage("job", "wall-clock", 1, "ms"));
+}
+
+TEST(DurableRun, WatchdogAbandonsTheProfileWalk) {
+    // The ASBR job's profile walk checks its deadline too: a 1 ms watchdog
+    // trips inside the walk, before the selection is computed, instead of
+    // after a G.721 walk has run to its end.
+    CliOptions options;
+    options.g721Samples = 20'000;
+    SimJob job;
+    job.workload = BenchId::kG721Encode;
+    job.samples = samplesFor(options, job.workload);
+    job.figure = "test";
+    job.asbr = true;
+
+    SimEngine engine({.threads = 1, .jobTimeoutMs = 1});
+    EXPECT_THROW((void)engine.runOne(job), JobTimeoutError);
+    EXPECT_EQ(engine.cacheStats().selectionComputes, 0u);
+    EXPECT_EQ(engine.stats().jobsRun, 0u);
+}
+
+TEST(DurableRun, DuplicateKeysRunOnceAndShareTheirOutcome) {
+    // adpcm-enc's paper BIT size is 4, so BIT sizes 0 and 4 resolve to one
+    // key: 8 cells, 4 keys.
+    SweepGrid grid;
+    grid.workloads = {BenchId::kAdpcmEncode};
+    grid.predictors = {"bimodal", "gshare"};
+    grid.bitSizes = {0, 4};
+    grid.stages = {ValueStage::kExEnd, ValueStage::kCommit};
+    CliOptions options;
+    options.adpcmSamples = 1'000;
+    const std::vector<SimJob> jobs = expandSweep(grid, options);
+    ASSERT_EQ(jobs.size(), 8u);
+    std::set<std::string> keys;
+    SimEngine keyer;
+    for (const SimJob& job : jobs) keys.insert(keyer.jobKey(job));
+    ASSERT_EQ(keys.size(), 4u);
+
+    SimEngine serial({.threads = 1});
+    const DurableRunResult reference = serial.runDurable(jobs, {});
+    const std::string dir = freshDir("duplicate_keys");
+    SimEngine parallel({.threads = 8});
+    const DurableRunResult outcome =
+        parallel.runDurable(jobs, journalPolicy(dir, false));
+    EXPECT_EQ(outcome.countWith(CellStatus::kOk), jobs.size());
+    EXPECT_EQ(sweepDocBytes(outcome), sweepDocBytes(reference));
+    EXPECT_EQ(parallel.stats().jobsRun, keys.size());
+
+    // One "done" record per distinct key.
+    std::istringstream lines(readFile(journalPath(dir)));
+    std::string line;
+    std::multiset<std::string> done;
+    while (std::getline(lines, line)) {
+        const JsonParseResult record = parseJson(line);
+        ASSERT_TRUE(record.ok()) << line;
+        if (record.value->find("status")->asString() == "done")
+            done.insert(record.value->find("jobKey")->asString());
+    }
+    EXPECT_EQ(done, std::multiset<std::string>(keys.begin(), keys.end()));
 }
 
 TEST(DurableRun, InterruptSkipsPendingJobsThenResumeCompletes) {

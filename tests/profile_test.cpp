@@ -4,8 +4,11 @@
 #include <array>
 #include <functional>
 #include <map>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "asm/assembler.hpp"
 #include "bp/bimodal.hpp"
@@ -357,15 +360,10 @@ PredictionProfile hookPredictions(const Program& program, Memory memory,
     return profile;
 }
 
-void expectWalksMatchHookWalks(const Program& p,
-                               const std::function<Memory()>& freshMemory,
-                               const std::string& label) {
-    Memory memory = freshMemory();
-    const ProgramProfile got = profileProgram(p, memory);
-    const ProgramProfile want = hookProfile(p, freshMemory());
+void expectSameProfile(const ProgramProfile& got, const ProgramProfile& want,
+                       const std::string& label) {
     EXPECT_EQ(got.instructions, want.instructions) << label;
     ASSERT_EQ(got.branches.size(), want.branches.size()) << label;
-    EXPECT_FALSE(want.branches.empty()) << label;
     for (const auto& [pc, site] : want.branches) {
         const auto it = got.branches.find(pc);
         ASSERT_NE(it, got.branches.end()) << label << " pc " << pc;
@@ -379,28 +377,61 @@ void expectWalksMatchHookWalks(const Program& p,
         EXPECT_EQ(g.distGe4, site.distGe4) << where;
         EXPECT_EQ(g.minDistance, site.minDistance) << where;
     }
-    for (const char* token : {"bimodal", "bi512", "gshare", "tage"}) {
+}
+
+void expectSamePredictions(const PredictionProfile& got,
+                           const PredictionProfile& want,
+                           const std::string& what) {
+    EXPECT_EQ(got.predictorToken, want.predictorToken) << what;
+    EXPECT_EQ(got.branches, want.branches) << what;
+    EXPECT_EQ(got.mispredicts, want.mispredicts) << what;
+    ASSERT_EQ(got.sites.size(), want.sites.size()) << what;
+    for (const auto& [pc, site] : want.sites) {
+        const auto it = got.sites.find(pc);
+        ASSERT_NE(it, got.sites.end()) << what << " pc " << pc;
+        EXPECT_EQ(it->second.pc, site.pc) << what;
+        EXPECT_EQ(it->second.execs, site.execs) << what << " pc " << pc;
+        EXPECT_EQ(it->second.mispredicts, site.mispredicts)
+            << what << " pc " << pc;
+    }
+}
+
+/// Each walk kernel profile matches its trace-hook reference, and one
+/// profileWalk carrying every predictor family matches the separate walks.
+void expectWalksMatchHookWalks(const Program& p,
+                               const std::function<Memory()>& freshMemory,
+                               const std::string& label) {
+    Memory memory = freshMemory();
+    const ProgramProfile got = profileProgram(p, memory);
+    const ProgramProfile want = hookProfile(p, freshMemory());
+    EXPECT_FALSE(want.branches.empty()) << label;
+    expectSameProfile(got, want, label);
+
+    constexpr std::array kTokens = {"bimodal", "bi512", "gshare", "tage",
+                                    "perceptron"};
+    std::vector<PredictionProfile> separate;
+    std::vector<std::unique_ptr<BranchPredictor>> riders;
+    for (const char* token : kTokens) {
         const std::string what = label + " " + token;
         const auto predictor = driver::makePredictorByToken(token);
         const auto reference = driver::makePredictorByToken(token);
         Memory replayMemory = freshMemory();
-        const PredictionProfile gotP =
-            profilePredictions(p, replayMemory, *predictor);
-        const PredictionProfile wantP =
-            hookPredictions(p, freshMemory(), *reference);
-        EXPECT_EQ(gotP.predictorToken, wantP.predictorToken) << what;
-        EXPECT_EQ(gotP.branches, wantP.branches) << what;
-        EXPECT_EQ(gotP.mispredicts, wantP.mispredicts) << what;
-        ASSERT_EQ(gotP.sites.size(), wantP.sites.size()) << what;
-        for (const auto& [pc, site] : wantP.sites) {
-            const auto it = gotP.sites.find(pc);
-            ASSERT_NE(it, gotP.sites.end()) << what << " pc " << pc;
-            EXPECT_EQ(it->second.pc, site.pc) << what;
-            EXPECT_EQ(it->second.execs, site.execs) << what << " pc " << pc;
-            EXPECT_EQ(it->second.mispredicts, site.mispredicts)
-                << what << " pc " << pc;
-        }
+        separate.push_back(profilePredictions(p, replayMemory, *predictor));
+        expectSamePredictions(separate.back(),
+                              hookPredictions(p, freshMemory(), *reference),
+                              what);
+        riders.push_back(driver::makePredictorByToken(token));
     }
+
+    std::vector<BranchPredictor*> predictors;
+    for (const auto& rider : riders) predictors.push_back(rider.get());
+    Memory mergedMemory = freshMemory();
+    const WalkProfiles merged = profileWalk(p, mergedMemory, predictors);
+    expectSameProfile(merged.program, got, label + " one walk");
+    ASSERT_EQ(merged.predictions.size(), kTokens.size()) << label;
+    for (std::size_t i = 0; i < kTokens.size(); ++i)
+        expectSamePredictions(merged.predictions[i], separate[i],
+                              label + " one walk " + kTokens[i]);
 }
 
 TEST(ProfileWalkTest, MatchesTraceHookWalksOnEveryCodec) {
@@ -424,6 +455,24 @@ TEST(ProfileWalkTest, MatchesTraceHookWalksOnGeneratedPrograms) {
         expectWalksMatchHookWalks(p, programOnly(p),
                                   "seed " + std::to_string(seed));
     }
+}
+
+TEST(ProfileWalkTest, PollRunsEveryIntervalAndMayAbandonTheWalk) {
+    const driver::Prepared prepared =
+        driver::prepare(BenchId::kAdpcmEncode, true, 2003, 2'000);
+    Memory memory = driver::makeMemory(prepared);
+    std::uint64_t polls = 0;
+    const WalkProfiles profiles = profileWalk(
+        prepared.program, memory, {}, 500'000'000, [&] { ++polls; });
+    const std::uint64_t instructions = profiles.program.instructions;
+    EXPECT_GT(instructions, kWalkPollInterval);
+    EXPECT_GE(polls, instructions / kWalkPollInterval);
+    EXPECT_TRUE(profiles.predictions.empty());
+
+    Memory again = driver::makeMemory(prepared);
+    EXPECT_THROW((void)profileWalk(prepared.program, again, {}, 500'000'000,
+                                   [] { throw std::runtime_error("stop"); }),
+                 std::runtime_error);
 }
 
 }  // namespace
