@@ -14,7 +14,10 @@
 #      abort the grid, for a sweep cell and for a campaign's injections;
 #      and the same kill-and-resume must hold for an asbr-faults campaign;
 #   4. duplicate keys — a journaled grid whose cells repeat a job key runs
-#      each key once at --threads=8, byte-identical to --threads=1.
+#      each key once at --threads=8, byte-identical to --threads=1;
+#   5. twins — a journaled grid of distinct keys whose BIT sizes hold the
+#      same branches simulates each machine once at --threads=8, journals
+#      every key, and stays byte-identical to --threads=1.
 #
 # The kill lands mid-run by construction: each run is SIGKILL'd as soon as
 # its journal records the first completed job, and the grid has more jobs
@@ -146,6 +149,43 @@ else
     fi
     "$STATS" validate "$tmpdir/dup_t8.json" > /dev/null || {
         echo "FAIL: duplicate-key sweep report does not validate" >&2
+        status=1
+    }
+fi
+
+# ----------------------------------------------------------------- twins ---
+# adpcm-dec's paper BIT size is 3 and g711-enc's is 8, so --bits=0,4 gives 16
+# distinct job keys; on both codecs the two BIT sizes hold the same branches,
+# so the 16 cells are 8 machines: 8 simulated, 8 shared.
+echo "--- twin cells at --threads=8"
+TWIN_ARGS=(--workloads=adpcm-dec,g711-enc --bits=0,4 --stages=ex_end,commit
+           --predictors=bimodal,tage --quick)
+"$SWEEP" "${TWIN_ARGS[@]}" --threads=1 --json="$tmpdir/twin_t1.json" \
+    > /dev/null 2>&1
+if ! "$SWEEP" "${TWIN_ARGS[@]}" --threads=8 --journal="$tmpdir/twinj" \
+        --json="$tmpdir/twin_t8.json" > /dev/null 2> "$tmpdir/twin.log"; then
+    echo "FAIL: twin sweep failed:" >&2
+    cat "$tmpdir/twin.log" >&2
+    status=1
+else
+    done_keys=$(grep -o '"status":"done","jobKey":"[^"]*"' \
+                "$tmpdir/twinj/journal.jsonl" | sort -u | wc -l)
+    if [[ $done_keys -ne 16 ]]; then
+        echo "FAIL: want a done record for each of 16 keys, got $done_keys" >&2
+        status=1
+    elif ! grep -q '^engine: 8 job(s), 8 shared,' "$tmpdir/twin.log"; then
+        echo "FAIL: want 8 jobs run and 8 shared on the engine line:" >&2
+        grep '^engine:' "$tmpdir/twin.log" >&2
+        status=1
+    elif ! cmp -s "$tmpdir/twin_t1.json" "$tmpdir/twin_t8.json"; then
+        echo "FAIL: twin sweep differs between --threads=1 and 8:" >&2
+        diff "$tmpdir/twin_t1.json" "$tmpdir/twin_t8.json" | head -20 >&2
+        status=1
+    else
+        echo "ok: 16 cells, 16 keys, 8 runs shared, byte-identical"
+    fi
+    "$STATS" validate "$tmpdir/twin_t8.json" > /dev/null || {
+        echo "FAIL: twin sweep report does not validate" >&2
         status=1
     }
 fi

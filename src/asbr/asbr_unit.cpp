@@ -41,6 +41,10 @@ void AsbrStats::publish(MetricRegistry& registry) const {
 
 void AsbrUnit::publishMetrics(MetricRegistry& registry) const {
     stats_.publish(registry);
+    publishCostMetrics(registry);
+}
+
+void AsbrUnit::publishCostMetrics(MetricRegistry& registry) const {
     registry
         .counter("asbr.storage_bits", "ASBR hardware cost proxy (BIT + BDT)")
         .add(storageBits());

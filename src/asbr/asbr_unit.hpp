@@ -223,6 +223,10 @@ public:
 
     /// Register fold statistics plus hardware-cost metrics (`asbr.*`).
     void publishMetrics(MetricRegistry& registry) const;
+    /// The hardware-cost half of publishMetrics (`asbr.storage_bits`,
+    /// `asbr.bit_capacity`, `asbr.bit_slots_reclaimed`): facts of the
+    /// customization that no run changes.
+    void publishCostMetrics(MetricRegistry& registry) const;
 
 private:
     /// Protected-mode gate in front of every BDT access: on a parity mismatch

@@ -327,7 +327,7 @@ private:
 
     void push(const Statement& st, Instruction ins) {
         try {
-            encode(ins);  // field validation
+            (void)encode(ins);  // field validation
         } catch (const EnsureError& e) {
             throw AsmError(st.line, e.what());
         }

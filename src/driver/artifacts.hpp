@@ -41,6 +41,7 @@
 #include "sim/fast_forward_log.hpp"
 #include "sim/pipeline.hpp"
 #include "sim/sampling.hpp"
+#include "util/ensure.hpp"
 #include "workloads/workloads.hpp"
 
 namespace asbr::driver {
@@ -87,11 +88,13 @@ struct Prepared {
 /// the computation.  A computation that throws is not kept: its requester
 /// rethrows the error, and every other requester, waiting or later, computes
 /// again with its own `make` (a walk abandoned at one job's deadline must not
-/// fail another job, whose deadline may be far off).
+/// fail another job, whose deadline may be far off).  The error never
+/// crosses to another thread: waiters learn of it as a null value.
 template <typename Key, typename Value>
 class OncePerKey {
 public:
     /// The value for `key`, computing it with `make()` on first request.
+    /// `make` returns a non-null value or throws.
     template <typename Make>
     [[nodiscard]] std::shared_ptr<const Value> get(const Key& key, Make make) {
         for (;;) {
@@ -110,27 +113,28 @@ public:
                 slot = it->second;
             }
             if (!owner) {
-                try {
-                    return slot.get();
-                } catch (...) {
-                    // Another requester's computation failed and its slot is
-                    // gone: request again.
-                    continue;
-                }
+                if (auto value = slot.get()) return value;
+                // Another requester's computation failed and its slot is
+                // gone: request again.
+                continue;
             }
             // Compute outside the lock: concurrent requests for *other* keys
             // proceed; concurrent requests for *this* key block on the future.
+            std::shared_ptr<const Value> value;
             try {
-                promise.set_value(make());
-                computes_.fetch_add(1, std::memory_order_relaxed);
+                value = make();
+                ASBR_ENSURE(value != nullptr, "OncePerKey: make returned null");
             } catch (...) {
                 {
                     std::lock_guard<std::mutex> lock(mutex_);
                     slots_.erase(key);
                 }
-                promise.set_exception(std::current_exception());
+                promise.set_value(nullptr);
+                throw;
             }
-            return slot.get();
+            promise.set_value(value);
+            computes_.fetch_add(1, std::memory_order_relaxed);
+            return value;
         }
     }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <compare>
 #include <exception>
 #include <map>
 #include <thread>
@@ -141,7 +142,73 @@ std::unique_ptr<JobJournal> openJournal(const DurablePolicy& policy,
 
 JsonValue sameJson(const JsonValue& value) { return value; }
 
+/// Register every counter of `from` in `to`.
+void addCounters(const MetricRegistry& from, MetricRegistry& to) {
+    for (const MetricRegistry::Entry& entry : from.catalogue()) {
+        ASBR_ENSURE(entry.kind == MetricRegistry::Entry::Kind::kCounter,
+                    "engine: a predictor published a non-counter metric");
+        to.counter(entry.name, entry.help)
+            .add(from.findCounter(entry.name)->value());
+    }
+}
+
 }  // namespace
+
+/// What a cell's simulation depends on: its machine.  Cells with equal keys
+/// simulate identical machines.  The BIT's capacity is not part of it: a
+/// lookup matches PCs, so the capacity only bounds what the selection may
+/// load, and prices the storage, which each cell reports for itself.  On
+/// one workload's program the BIT and static-fold entries are functions of
+/// their PCs (and directions).
+struct SimEngine::MachineKey {
+    WorkloadKey workload;
+    std::string predictor;  ///< the job's registry token
+    bool sampled = false;
+    SamplingConfig sampling{};
+    bool sampleReference = false;
+    bool asbr = false;
+    ValueStage updateStage = ValueStage::kMemEnd;
+    bool parityProtected = false;
+    std::vector<std::uint32_t> bitPcs;  ///< bank 0, in load order
+    std::vector<std::pair<std::uint32_t, bool>> staticFolds;  ///< pc, taken
+
+    MachineKey(const SimJob& job, const WorkloadKey& workloadKey,
+               const SelectionArtifacts* selection)
+        : workload(workloadKey), predictor(job.predictor) {
+        if (job.sampled) {
+            sampled = true;
+            sampling = job.sampling;
+            sampleReference = job.sampleReference;
+        }
+        if (selection != nullptr) {
+            asbr = true;
+            updateStage = job.updateStage;
+            parityProtected = job.parityProtected;
+            for (const BranchInfo& info : selection->branchInfos())
+                bitPcs.push_back(info.pc);
+            for (const StaticFoldCandidate& fold :
+                 selection->staticCandidates())
+                staticFolds.emplace_back(fold.pc, fold.taken);
+        }
+    }
+
+    auto operator<=>(const MachineKey&) const = default;
+};
+
+/// What one simulation leaves for every cell of its machine: the outcome,
+/// and no live hardware (predictor, unit or memory image).
+struct SimEngine::MachineRun {
+    PipelineStats stats;
+    std::shared_ptr<const SampledResult> sampled;
+    bool hasReference = false;
+    std::uint64_t referenceCycles = 0;
+    std::uint64_t referenceCommitted = 0;
+    AsbrStats unitStats;
+    std::string predictorName;
+    std::string predictorToken;
+    std::uint64_t predictorStorageBits = 0;
+    MetricRegistry predictorMetrics;  ///< what the predictor published
+};
 
 SimEngine::SimEngine(EngineConfig config) : config_(config) {}
 
@@ -258,7 +325,8 @@ std::string SimEngine::campaignManifestDigest(
     return fnv1a64Hex(all);
 }
 
-JobResult SimEngine::execute(const SimJob& job, Deadline& deadline) {
+JobResult SimEngine::execute(const SimJob& job, Deadline& deadline,
+                             RunMemo* memo) {
     const WorkloadKey workloadKey = workloadKeyFor(job);
     const auto workload = workloadFor(job);
     std::string predictorError;
@@ -286,47 +354,74 @@ JobResult SimEngine::execute(const SimJob& job, Deadline& deadline) {
     // is never installed, so un-watched runs keep a null cycleHook.
     if (deadline.active()) pipelineConfig.cycleHook = &deadline;
 
-    const auto simStart = std::chrono::steady_clock::now();
-    PipelineStats runStats;
-    if (job.sampled) {
-        // The first sampled job of a (workload, geometry) records the shared
-        // log here, so its simSeconds carries the walk, and checks its
-        // deadline during the walk as the pipeline's cycle hook would.  A
-        // job waiting on another job's walk is bounded by that job's
-        // deadline: an abandoned walk fails its waiters too, and their
-        // retries record the log again.
-        const auto log = workload->fastForwardLog(
-            job.sampling, [&deadline] { deadline.check(); });
-        auto sampled = std::make_shared<SampledResult>(
-            runSampledPipeline(workload->prepared(), *predictor, unit.get(),
-                               *log, pipelineConfig));
-        jobsRun_.fetch_add(1, std::memory_order_relaxed);
-        busyCycles_.fetch_add(sampled->measuredCycles,
-                              std::memory_order_relaxed);
-        runStats = sampled->stats;
-        out.sampled = std::move(sampled);
-        if (job.sampleReference) {
-            // The full cycle-accurate reference runs on fresh hardware state
-            // (the sampled run's predictor/unit are already warm-polluted).
-            auto refPredictor = makePredictorByToken(job.predictor);
-            std::unique_ptr<AsbrUnit> refUnit;
-            if (selection != nullptr)
-                refUnit = selection->makeUnit(job.parityProtected);
-            const PipelineResult ref =
-                runPipeline(workload->prepared(), *refPredictor, refUnit.get(),
-                            pipelineConfig);
+    // This cell's machine, simulated on the cell's own predictor and unit.
+    const auto simulate = [&] {
+        auto run = std::make_shared<MachineRun>();
+        if (job.sampled) {
+            // The first sampled job of a (workload, geometry) records the
+            // shared log here, so its simSeconds carries the walk, and
+            // checks its deadline during the walk as the pipeline's cycle
+            // hook would.  A job waiting on another job's walk is bounded by
+            // that job's deadline: an abandoned walk is not kept, and its
+            // waiters record the log again under their own.
+            const auto log = workload->fastForwardLog(
+                job.sampling, [&deadline] { deadline.check(); });
+            auto sampled = std::make_shared<const SampledResult>(
+                runSampledPipeline(workload->prepared(), *predictor,
+                                   unit.get(), *log, pipelineConfig));
             jobsRun_.fetch_add(1, std::memory_order_relaxed);
-            busyCycles_.fetch_add(ref.stats.cycles, std::memory_order_relaxed);
-            out.hasReference = true;
-            out.referenceCycles = ref.stats.cycles;
-            out.referenceCommitted = ref.stats.committed;
+            busyCycles_.fetch_add(sampled->measuredCycles,
+                                  std::memory_order_relaxed);
+            run->stats = sampled->stats;
+            run->sampled = std::move(sampled);
+            if (job.sampleReference) {
+                // The full cycle-accurate reference runs on fresh hardware
+                // state (the sampled run's predictor/unit are already
+                // warm-polluted).
+                auto refPredictor = makePredictorByToken(job.predictor);
+                std::unique_ptr<AsbrUnit> refUnit;
+                if (selection != nullptr)
+                    refUnit = selection->makeUnit(job.parityProtected);
+                const PipelineResult ref =
+                    runPipeline(workload->prepared(), *refPredictor,
+                                refUnit.get(), pipelineConfig);
+                jobsRun_.fetch_add(1, std::memory_order_relaxed);
+                busyCycles_.fetch_add(ref.stats.cycles,
+                                      std::memory_order_relaxed);
+                run->hasReference = true;
+                run->referenceCycles = ref.stats.cycles;
+                run->referenceCommitted = ref.stats.committed;
+            }
+        } else {
+            PipelineResult result = runPipeline(
+                workload->prepared(), *predictor, unit.get(), pipelineConfig);
+            jobsRun_.fetch_add(1, std::memory_order_relaxed);
+            busyCycles_.fetch_add(result.stats.cycles,
+                                  std::memory_order_relaxed);
+            run->stats = std::move(result.stats);
         }
+        if (unit != nullptr) run->unitStats = unit->stats();
+        run->predictorName = predictor->name();
+        run->predictorToken = predictor->token();
+        run->predictorStorageBits = predictor->storageBits();
+        predictor->publishMetrics(run->predictorMetrics);
+        return std::shared_ptr<const MachineRun>(std::move(run));
+    };
+
+    const auto simStart = std::chrono::steady_clock::now();
+    std::shared_ptr<const MachineRun> run;
+    if (memo == nullptr || job.trace) {
+        // Alone, or traced: a traced job owns its tracer, so it never shares.
+        run = simulate();
     } else {
-        const PipelineResult result = runPipeline(
-            workload->prepared(), *predictor, unit.get(), pipelineConfig);
-        jobsRun_.fetch_add(1, std::memory_order_relaxed);
-        busyCycles_.fetch_add(result.stats.cycles, std::memory_order_relaxed);
-        runStats = result.stats;
+        // A twin of a cell already simulating waits for its run; if that
+        // run fails, the twin simulates under its own deadline.
+        bool simulated = false;
+        run = memo->get(MachineKey(job, workloadKey, selection.get()), [&] {
+            simulated = true;
+            return simulate();
+        });
+        if (!simulated) jobsShared_.fetch_add(1, std::memory_order_relaxed);
     }
     out.simSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -335,8 +430,8 @@ JobResult SimEngine::execute(const SimJob& job, Deadline& deadline) {
 
     RunMeta meta;
     meta.benchmark = benchName(job.workload);
-    meta.predictor = predictor->name();
-    meta.predictorToken = predictor->token();
+    meta.predictor = run->predictorName;
+    meta.predictorToken = run->predictorToken;
     meta.figure = job.figure;
     meta.seed = job.seed;
     meta.samples = workloadKey.samples;
@@ -348,16 +443,25 @@ JobResult SimEngine::execute(const SimJob& job, Deadline& deadline) {
         meta.predictorAware = job.predictorAware;
     }
 
-    out.stats = runStats;
-    out.report =
-        makeSimReport(std::move(meta), runStats, predictor.get(), unit.get());
+    // Every cell builds its report from its own meta, unit and selection
+    // plus the run, so a twin's report is the one it would get alone.
+    out.stats = run->stats;
+    out.report = makeSimReport(std::move(meta), run->stats, nullptr);
+    addCounters(run->predictorMetrics, out.report.registry);
+    out.predictorStorageBits = run->predictorStorageBits;
+    out.sampled = run->sampled;
     if (out.sampled != nullptr) out.sampled->publish(out.report.registry);
+    out.hasReference = run->hasReference;
+    out.referenceCycles = run->referenceCycles;
+    out.referenceCommitted = run->referenceCommitted;
     if (unit != nullptr) {
+        run->unitStats.publish(out.report.registry);
+        unit->publishCostMetrics(out.report.registry);
         out.asbr = true;
         out.candidates = selection->candidates();
         out.staticFoldCount = selection->staticCandidates().size();
         out.bitSlotsReclaimed = selection->bitSlotsReclaimed();
-        out.unitStats = unit->stats();
+        out.unitStats = run->unitStats;
         out.unitStorageBits = unit->storageBits();
         if (job.predictorAware) {
             const PredictorAwareSelectionMetrics& aware =
@@ -369,22 +473,24 @@ JobResult SimEngine::execute(const SimJob& job, Deadline& deadline) {
             aware.publish(out.report.registry);
         }
     }
-    out.predictorStorageBits = predictor->storageBits();
     return out;
 }
 
-JobResult SimEngine::runOne(const SimJob& job) {
+JobResult SimEngine::runJob(const SimJob& job, RunMemo* memo) {
     Cell<JobResult> cell = runCell<JobResult>(
         config_, {}, {}, nullptr,
-        [&](Deadline& deadline) { return execute(job, deadline); });
+        [&](Deadline& deadline) { return execute(job, deadline, memo); });
     if (cell.status != CellStatus::kOk) std::rethrow_exception(cell.thrown);
     return std::move(cell.result);
 }
 
+JobResult SimEngine::runOne(const SimJob& job) { return runJob(job, nullptr); }
+
 std::vector<JobResult> SimEngine::run(const std::vector<SimJob>& jobs) {
     std::vector<JobResult> results(jobs.size());
+    RunMemo memo;
     parallelFor(jobs.size(), config_.threads,
-                [&](std::size_t i) { results[i] = runOne(jobs[i]); });
+                [&](std::size_t i) { results[i] = runJob(jobs[i], &memo); });
     return results;
 }
 
@@ -405,13 +511,14 @@ DurableRunResult SimEngine::runDurable(const std::vector<SimJob>& jobs,
         if (firstCell.try_emplace(out.cells[i].key, i).second)
             distinct.push_back(i);
     }
+    RunMemo memo;
     parallelFor(distinct.size(), config_.threads, [&](std::size_t k) {
         const std::size_t i = distinct[k];
         CellOutcome& outcome = out.cells[i];
         Cell<JsonValue> cell = runCell(
             config_, outcome.key, log, policy.interrupted,
             [&](Deadline& deadline) {
-                return simReportJson(execute(jobs[i], deadline).report);
+                return simReportJson(execute(jobs[i], deadline, &memo).report);
             });
         outcome.status = cell.status;
         outcome.attempts = cell.attempts;
@@ -421,7 +528,10 @@ DurableRunResult SimEngine::runDurable(const std::vector<SimJob>& jobs,
     });
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const std::size_t first = firstCell.at(out.cells[i].key);
-        if (first != i) out.cells[i] = out.cells[first];
+        if (first == i) continue;
+        out.cells[i] = out.cells[first];
+        if (out.cells[i].status == CellStatus::kOk && !out.cells[i].resumed)
+            jobsShared_.fetch_add(1, std::memory_order_relaxed);
     }
     for (const CellOutcome& cell : out.cells)
         if (cell.resumed) ++out.resumedJobs;
@@ -518,6 +628,7 @@ InjectionRecord SimEngine::replayInjection(const SimJob& job,
 EngineStats SimEngine::stats() const {
     EngineStats stats;
     stats.jobsRun = jobsRun_.load(std::memory_order_relaxed);
+    stats.jobsShared = jobsShared_.load(std::memory_order_relaxed);
     stats.cacheHits = cache_.stats().hits;
     stats.workerBusyCycles = busyCycles_.load(std::memory_order_relaxed);
     stats.jobsResumed = jobsResumed_.load(std::memory_order_relaxed);
@@ -528,9 +639,14 @@ void SimEngine::publishMetrics(MetricRegistry& registry) const {
     const EngineStats s = stats();
     registry
         .counter("engine.jobs_run",
-                 "pipeline simulations the engine executed (batch jobs + "
-                 "fault injections)")
+                 "pipeline simulations the engine executed (one per distinct "
+                 "machine of a batch, plus fault injections)")
         .set(s.jobsRun);
+    registry
+        .counter("engine.jobs_shared",
+                 "batch cells served by another cell's simulation of the "
+                 "same machine instead of simulating")
+        .set(s.jobsShared);
     registry
         .counter("engine.cache_hits",
                  "artifact-cache requests served from an already-resolved "

@@ -11,13 +11,19 @@
 // loop (runCell in engine.cpp).  EngineConfig sets its watchdog and retry
 // budget; DurablePolicy adds only the journal and the interrupt flag.
 //
+// Within one batch (run, runDurable) each distinct *machine* simulates once:
+// cells whose workload, predictor, sampling and ASBR tables are equal —
+// twins, such as two BIT sizes that hold the same branches — share one run
+// through a memo that dies with the batch, and each builds its own report
+// from that run, byte-identical to the report it would get alone.
+//
 // Observability is injection-scoped: each job gets its own MetricRegistry
 // (inside its SimReport) and, when tracing, its own Tracer instance.  The
-// engine itself keeps four counters (engine.jobs_run, engine.cache_hits,
-// engine.worker_busy_cycles, engine.jobs_resumed) that callers publish into
-// a registry of their choosing; all four are deterministic functions of the
-// submitted work and the journal — worker_busy_cycles counts *simulated*
-// cycles, never host time.
+// engine itself keeps five counters (engine.jobs_run, engine.jobs_shared,
+// engine.cache_hits, engine.worker_busy_cycles, engine.jobs_resumed) that
+// callers publish into a registry of their choosing; all five are
+// deterministic functions of the submitted work and the journal —
+// worker_busy_cycles counts *simulated* cycles, never host time.
 #pragma once
 
 #include <atomic>
@@ -56,7 +62,8 @@ struct EngineConfig {
 
 /// Deterministic engine counters (see publishMetrics).
 struct EngineStats {
-    std::uint64_t jobsRun = 0;
+    std::uint64_t jobsRun = 0;     ///< simulations executed
+    std::uint64_t jobsShared = 0;  ///< cells served by another cell's run
     std::uint64_t cacheHits = 0;
     std::uint64_t workerBusyCycles = 0;
     std::uint64_t jobsResumed = 0;  ///< results spliced from a journal
@@ -137,7 +144,8 @@ public:
     [[nodiscard]] JobResult runOne(const SimJob& job);
 
     /// Run a batch on the worker pool; results are in submission order.
-    /// The first job exception (e.g. an unknown predictor token) is rethrown
+    /// Cells that simulate the same machine share one run (see above).  The
+    /// first job exception (e.g. an unknown predictor token) is rethrown
     /// after the batch drains.
     [[nodiscard]] std::vector<JobResult> run(const std::vector<SimJob>& jobs);
 
@@ -157,7 +165,9 @@ public:
     /// retry every job gets.  Cell order is submission order; a resumed run
     /// splices journal artifacts and serializes byte-identically to the
     /// uninterrupted run at any thread count.  Each distinct job key runs
-    /// once, and every cell with that key gets its outcome.
+    /// once, and every cell with that key gets its outcome; cells with
+    /// distinct keys share runs as in run(), and each journals its own
+    /// artifact.
     [[nodiscard]] DurableRunResult runDurable(const std::vector<SimJob>& jobs,
                                               const DurablePolicy& policy);
 
@@ -184,18 +194,28 @@ public:
         return cache_.stats();
     }
 
-    /// Publish engine.jobs_run / engine.cache_hits / engine.worker_busy_cycles
-    /// / engine.jobs_resumed into `registry`.  A default-constructed engine
-    /// publishes zeros — the `asbr-stats counters` catalogue uses that to
-    /// enumerate the names.
+    /// Publish engine.jobs_run / engine.jobs_shared / engine.cache_hits /
+    /// engine.worker_busy_cycles / engine.jobs_resumed into `registry`.  A
+    /// default-constructed engine publishes zeros — the `asbr-stats
+    /// counters` catalogue uses that to enumerate the names.
     void publishMetrics(MetricRegistry& registry) const;
 
 private:
-    [[nodiscard]] JobResult execute(const SimJob& job, Deadline& deadline);
+    /// What a cell's simulation depends on, and what it leaves (engine.cpp).
+    struct MachineKey;
+    struct MachineRun;
+    /// A batch's runs, once per machine.
+    using RunMemo = OncePerKey<MachineKey, MachineRun>;
+
+    /// runOne on a batch's memo (null: simulate alone).
+    [[nodiscard]] JobResult runJob(const SimJob& job, RunMemo* memo);
+    [[nodiscard]] JobResult execute(const SimJob& job, Deadline& deadline,
+                                    RunMemo* memo);
 
     EngineConfig config_;
     ArtifactCache cache_;
     std::atomic<std::uint64_t> jobsRun_{0};
+    std::atomic<std::uint64_t> jobsShared_{0};
     std::atomic<std::uint64_t> busyCycles_{0};
     std::atomic<std::uint64_t> jobsResumed_{0};
 };

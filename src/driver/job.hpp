@@ -92,7 +92,8 @@ struct JobResult {
     /// Sampled-run outcome (only when SimJob::sampled was set).  `stats`
     /// then holds the detailed-window statistics; when sampleReference was
     /// also set, `reference` carries the full run's cycle/commit counts.
-    std::shared_ptr<SampledResult> sampled;
+    /// Read-only: the cells of a batch that simulate one machine share it.
+    std::shared_ptr<const SampledResult> sampled;
     bool hasReference = false;
     std::uint64_t referenceCycles = 0;
     std::uint64_t referenceCommitted = 0;
@@ -102,9 +103,11 @@ struct JobResult {
     /// compile/profile/select artifact work (which is cached across jobs and
     /// would otherwise dominate short runs).  A sampled job that records its
     /// workload's shared fast-forward log (the first job of each workload
-    /// and window geometry) includes that walk.  Host-dependent by nature:
-    /// feeds the human-facing `sim speed` line and the sim.mips counter,
-    /// never a JSON artifact.
+    /// and window geometry) includes that walk.  A batch cell whose machine
+    /// another cell of the batch simulates (a twin, SimEngine::run) counts
+    /// only its wait for that run: about 0 when the run had finished.
+    /// Host-dependent by nature: feeds the human-facing `sim speed` line and
+    /// the sim.mips counter, never a JSON artifact.
     double simSeconds = 0.0;
 
     /// Per-job tracer (only when SimJob::trace was set).

@@ -479,8 +479,9 @@ TEST(VerifierIntegrationTest, VerdictsAgreeWithDynamicFoldability) {
                     << "pc 0x" << std::hex << pc;
                 EXPECT_NE(v.verdict, FoldLegality::kProvablySafe);
             }
-            if (v.verdict == FoldLegality::kProvablySafe)
+            if (v.verdict == FoldLegality::kProvablySafe) {
                 EXPECT_GE(bp.minDistance, kThreshold);
+            }
         }
 
         // The strict selection never emits an Illegal branch into the BIT,

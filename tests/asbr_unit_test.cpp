@@ -9,8 +9,14 @@
 #include "bp/bimodal.hpp"
 #include "bp/static_predictors.hpp"
 #include "mem/memory.hpp"
+#include "profile/profiler.hpp"
+#include "profile/selection.hpp"
+#include "report/report.hpp"
 #include "sim/functional.hpp"
 #include "sim/pipeline.hpp"
+#include "workloads/adpcm.hpp"
+#include "workloads/input_gen.hpp"
+#include "workloads/workloads.hpp"
 
 namespace asbr {
 namespace {
@@ -474,6 +480,63 @@ TEST(AsbrUnitTest, StorageCostBelowGeneralPurposePredictor) {
     AsbrUnit unit;
     EXPECT_LT(unit.storageBits() + makeBimodal(512, 512)->storageBits(),
               makeBimodal2048()->storageBits());
+}
+
+TEST(AsbrUnitTest, BitCapacityBeyondItsEntriesChangesNoRun) {
+    // A BIT lookup matches PCs, so the capacity only bounds what may be
+    // loaded: the same entries in a 4-entry and an 8-entry BIT give the same
+    // run on a codec, and differ only in storage.  A batch simulates such
+    // cells once (SimEngine, "twins").
+    const Program program = buildBench(BenchId::kAdpcmDecode);
+    const std::vector<std::uint8_t> codes =
+        adpcmEncodeRef(generateSpeech(2'000, 2001));
+    const auto freshMemory = [&] {
+        Memory memory;
+        memory.loadProgram(program);
+        loadCodeInput(memory, program, codes);
+        return memory;
+    };
+    Memory profiled = freshMemory();
+    const ProgramProfile profile =
+        profileProgram(program, profiled, PipelineConfig{}.maxCycles);
+    SelectionConfig selection;
+    selection.bitCapacity = 4;
+    selection.threshold = 4;  // commit
+    const std::vector<BranchInfo> entries = extractBranchInfos(
+        program,
+        candidatePcs(selectFoldableBranches(program, profile, {}, selection)));
+    ASSERT_FALSE(entries.empty());
+
+    std::vector<std::string> runs;
+    std::vector<AsbrStats> stats;
+    std::vector<std::uint64_t> storage;
+    for (const std::size_t capacity : {std::size_t{4}, std::size_t{8}}) {
+        AsbrConfig config;
+        config.updateStage = ValueStage::kCommit;
+        config.bitCapacity = capacity;
+        AsbrUnit unit(config);
+        unit.loadBank(0, entries);
+        Memory memory = freshMemory();
+        const auto predictor = makeBimodal2048();
+        PipelineSim sim(program, memory, *predictor, {}, &unit);
+        const PipelineResult result = sim.run();
+        ASSERT_TRUE(result.exited);
+        runs.push_back(
+            simReportJson(makeSimReport({}, result.stats, nullptr)).dump(2));
+        stats.push_back(unit.stats());
+        storage.push_back(unit.storageBits());
+    }
+    EXPECT_EQ(runs[0], runs[1]);
+    EXPECT_GT(stats[0].folds, 0u);
+    EXPECT_EQ(stats[0].lookups, stats[1].lookups);
+    EXPECT_EQ(stats[0].folds, stats[1].folds);
+    EXPECT_EQ(stats[0].foldsTaken, stats[1].foldsTaken);
+    EXPECT_EQ(stats[0].blockedInvalid, stats[1].blockedInvalid);
+    EXPECT_EQ(stats[0].bankSwitches, stats[1].bankSwitches);
+    EXPECT_EQ(stats[0].parityRecoveries, stats[1].parityRecoveries);
+    EXPECT_EQ(stats[0].quarantinedBlocks, stats[1].quarantinedBlocks);
+    EXPECT_EQ(stats[0].staticFolds, stats[1].staticFolds);
+    EXPECT_LT(storage[0], storage[1]);
 }
 
 }  // namespace

@@ -183,7 +183,7 @@ TEST(AsmTest, Errors) {
 
 TEST(AsmTest, ErrorsCarryLineNumbers) {
     try {
-        assemble("nop\nnop\nbogus\n");
+        (void)assemble("nop\nnop\nbogus\n");
         FAIL() << "expected AsmError";
     } catch (const AsmError& e) {
         EXPECT_EQ(e.line(), 3);

@@ -531,7 +531,7 @@ TEST(CcTest, Errors) {
 
 TEST(CcTest, ErrorsCarryLines) {
     try {
-        compile("int main() {\n  return\n    bogus;\n}");
+        (void)compile("int main() {\n  return\n    bogus;\n}");
         FAIL() << "expected CompileError";
     } catch (const CompileError& e) {
         EXPECT_EQ(e.line(), 3);

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "driver/cli.hpp"
 #include "driver/engine.hpp"
+#include "driver/journal.hpp"
 #include "driver/names.hpp"
 #include "driver/pool.hpp"
 #include "driver/sweep.hpp"
@@ -199,6 +201,140 @@ TEST(DriverDeterminism, SampledSweepCellsMatchTheirOwnRuns) {
                   simReportJson(result.report).dump(2))
             << outcome.cells[i].key;
     }
+}
+
+/// Six codecs x {bimodal, tage} x {baseline, ASBR at BIT {paper size, 4} x
+/// stage {ex_end, commit}}: 60 cells on small inputs.
+std::vector<SimJob> twinGrid() {
+    SweepGrid grid;
+    grid.predictors = {"bimodal", "tage"};
+    grid.bitSizes = {0, 4};
+    grid.stages = {ValueStage::kExEnd, ValueStage::kCommit};
+    grid.includeBaseline = true;
+    return expandSweep(grid, tinyOptions());
+}
+
+/// Cells of twinGrid() that simulate a machine an earlier cell simulates.
+/// On these inputs the paper-size BIT and the 4-entry BIT hold the same
+/// branches on four codecs (ADPCM encode, whose paper size is 4, and
+/// decode; G.711 encode and decode), at both stages and for both
+/// predictors: 4 x 2 x 2 twins.
+constexpr std::uint64_t kGridTwins = 16;
+
+TEST(RunSharing, TwinsAreCellsWhoseBitsHoldTheSameBranches) {
+    // The sharing rests on the selections: count the (codec, predictor,
+    // stage) points whose two BIT sizes load equal entries.
+    SimEngine engine;
+    const std::vector<SimJob> jobs = twinGrid();
+    ASSERT_EQ(jobs.size(), 60u);
+    std::uint64_t twins = 0;
+    for (std::size_t i = 0; i + 1 < jobs.size(); ++i) {
+        const SimJob& paper = jobs[i];
+        if (!paper.asbr || paper.bitEntries != 0) continue;
+        SimJob four = paper;
+        four.bitEntries = 4;
+        (void)engine.workloadFor(paper);
+        std::vector<std::uint32_t> paperPcs;
+        std::vector<std::uint32_t> fourPcs;
+        for (const BranchInfo& info : engine.selectionFor(paper)->branchInfos())
+            paperPcs.push_back(info.pc);
+        for (const BranchInfo& info : engine.selectionFor(four)->branchInfos())
+            fourPcs.push_back(info.pc);
+        if (paperPcs == fourPcs) ++twins;
+    }
+    EXPECT_EQ(twins, kGridTwins);
+}
+
+TEST(RunSharing, TwinCellsShareOneRunAndKeepTheirOwnReports) {
+    // Each distinct machine simulates once per batch, at any thread count,
+    // and every cell's report is byte-identical to the report the cell gets
+    // alone on a fresh engine: its own BIT capacity and storage included.
+    const std::vector<SimJob> jobs = twinGrid();
+    std::vector<std::string> alone;
+    for (const SimJob& job : jobs) {
+        SimEngine fresh;
+        alone.push_back(simReportJson(fresh.runOne(job).report).dump(2));
+    }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+        SimEngine engine({.threads = threads});
+        const std::vector<JobResult> results = engine.run(jobs);
+        ASSERT_EQ(results.size(), jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            EXPECT_EQ(simReportJson(results[i].report).dump(2), alone[i])
+                << "cell " << i << " at --threads=" << threads;
+        EXPECT_EQ(engine.stats().jobsRun, jobs.size() - kGridTwins)
+            << threads << " thread(s)";
+        EXPECT_EQ(engine.stats().jobsShared, kGridTwins)
+            << threads << " thread(s)";
+    }
+    // A run alone shares nothing.
+    SimEngine single;
+    (void)single.runOne(jobs[1]);
+    (void)single.runOne(jobs[1]);
+    EXPECT_EQ(single.stats().jobsRun, 2u);
+    EXPECT_EQ(single.stats().jobsShared, 0u);
+}
+
+TEST(RunSharing, TracedCellsNeverShare) {
+    // A traced cell owns its tracer, so it simulates for itself; its
+    // untraced twins still share one run.
+    SimJob traced = tinyJob(BenchId::kAdpcmEncode, "bimodal", true);
+    traced.trace = true;
+    const SimJob untraced = tinyJob(BenchId::kAdpcmEncode, "bimodal", true);
+    SimEngine engine({.threads = 4});
+    const std::vector<JobResult> results =
+        engine.run({traced, untraced, traced, untraced});
+    EXPECT_EQ(engine.stats().jobsRun, 3u);
+    EXPECT_EQ(engine.stats().jobsShared, 1u);
+    ASSERT_NE(results[0].tracer, nullptr);
+    ASSERT_NE(results[2].tracer, nullptr);
+    EXPECT_NE(results[0].tracer, results[2].tracer);
+    EXPECT_FALSE(results[0].tracer->events().empty());
+    EXPECT_EQ(results[0].tracer->events().size(),
+              results[2].tracer->events().size());
+    for (const JobResult& result : results)
+        EXPECT_EQ(simReportJson(result.report).dump(2),
+                  simReportJson(results[0].report).dump(2));
+}
+
+TEST(RunSharing, DurableGridJournalsEveryKeyAndMatchesRun) {
+    // runDurable over the twin grid: one artifact per distinct job key, each
+    // cell's report equal to run()'s, and the same runs shared.
+    const std::vector<SimJob> jobs = twinGrid();
+    SimEngine batch({.threads = 8});
+    const std::vector<JobResult> results = batch.run(jobs);
+
+    const std::string dir = testing::TempDir() + "asbr_driver_twins";
+    std::filesystem::remove_all(dir);
+    DurablePolicy policy;
+    policy.journalDir = dir;
+    SimEngine durable({.threads = 8});
+    const DurableRunResult outcome = durable.runDurable(jobs, policy);
+    ASSERT_EQ(outcome.cells.size(), jobs.size());
+    std::set<std::string> keys;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const CellOutcome& cell = outcome.cells[i];
+        ASSERT_EQ(cell.status, CellStatus::kOk) << cell.error;
+        EXPECT_EQ(cell.report.dump(2),
+                  simReportJson(results[i].report).dump(2))
+            << cell.key;
+        keys.insert(cell.key);
+        EXPECT_TRUE(std::filesystem::is_regular_file(
+            std::filesystem::path(dir) / JobJournal::artifactPathFor(cell.key)))
+            << cell.key;
+    }
+    const std::filesystem::path artifacts =
+        (std::filesystem::path(dir) /
+         JobJournal::artifactPathFor(*keys.begin()))
+            .parent_path();
+    std::size_t written = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(artifacts))
+        if (entry.is_regular_file()) ++written;
+    EXPECT_EQ(written, keys.size());
+    // Cells with equal keys count as shared too, so both paths agree.
+    EXPECT_LT(keys.size(), jobs.size());
+    EXPECT_EQ(durable.stats().jobsRun, batch.stats().jobsRun);
+    EXPECT_EQ(durable.stats().jobsShared, batch.stats().jobsShared);
 }
 
 TEST(ArtifactCacheTest, ThrownComputationIsNotKept) {

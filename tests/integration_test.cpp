@@ -22,11 +22,10 @@ namespace asbr {
 namespace {
 
 PipelineResult runPipe(const Program& p, BranchPredictor& bp,
-                       FetchCustomizer* customizer = nullptr,
-                       PipelineConfig cfg = {}) {
+                       AsbrUnit* unit = nullptr, PipelineConfig cfg = {}) {
     Memory mem;
     mem.loadProgram(p);
-    PipelineSim sim(p, mem, bp, cfg, customizer);
+    PipelineSim sim(p, mem, bp, cfg, unit);
     return sim.run();
 }
 

@@ -141,17 +141,17 @@ TEST(EncodingTest, RoundTripRepresentatives) {
 }
 
 TEST(EncodingTest, RejectsOutOfRangeFields) {
-    EXPECT_THROW(encode({Op::kAddiu, 1, 2, 0, 40000}), EnsureError);
-    EXPECT_THROW(encode({Op::kAddiu, 1, 2, 0, -40000}), EnsureError);
-    EXPECT_THROW(encode({Op::kAndi, 1, 2, 0, -1}), EnsureError);
-    EXPECT_THROW(encode({Op::kAndi, 1, 2, 0, 70000}), EnsureError);
-    EXPECT_THROW(encode({Op::kSll, 1, 2, 0, 32}), EnsureError);
-    EXPECT_THROW(encode({Op::kJ, 0, 0, 0, 1 << 26}), EnsureError);
-    EXPECT_THROW(encode({Op::kJ, 0, 0, 0, -1}), EnsureError);
+    EXPECT_THROW((void)encode({Op::kAddiu, 1, 2, 0, 40000}), EnsureError);
+    EXPECT_THROW((void)encode({Op::kAddiu, 1, 2, 0, -40000}), EnsureError);
+    EXPECT_THROW((void)encode({Op::kAndi, 1, 2, 0, -1}), EnsureError);
+    EXPECT_THROW((void)encode({Op::kAndi, 1, 2, 0, 70000}), EnsureError);
+    EXPECT_THROW((void)encode({Op::kSll, 1, 2, 0, 32}), EnsureError);
+    EXPECT_THROW((void)encode({Op::kJ, 0, 0, 0, 1 << 26}), EnsureError);
+    EXPECT_THROW((void)encode({Op::kJ, 0, 0, 0, -1}), EnsureError);
 }
 
 TEST(EncodingTest, DecodeRejectsBadOpcodeField) {
-    EXPECT_THROW(decode(0xFFFF'FFFFu), EnsureError);
+    EXPECT_THROW((void)decode(0xFFFF'FFFFu), EnsureError);
 }
 
 // Property sweep: random well-formed instructions round-trip through the

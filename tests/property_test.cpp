@@ -122,14 +122,16 @@ void expectVerdictsConsistent(const Program& p,
         EXPECT_NE(d, analysis::BranchDirection::kUnreachable)
             << label << ": branch 0x" << std::hex << pc
             << " executed but was called unreachable";
-        if (d == analysis::BranchDirection::kAlwaysTaken)
+        if (d == analysis::BranchDirection::kAlwaysTaken) {
             EXPECT_EQ(dirs & 1u, 0u)
                 << label << ": AlwaysTaken branch 0x" << std::hex << pc
                 << " observed not-taken";
-        if (d == analysis::BranchDirection::kNeverTaken)
+        }
+        if (d == analysis::BranchDirection::kNeverTaken) {
             EXPECT_EQ(dirs & 2u, 0u)
                 << label << ": NeverTaken branch 0x" << std::hex << pc
                 << " observed taken";
+        }
     }
 }
 

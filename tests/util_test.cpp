@@ -75,14 +75,14 @@ TEST(StatsTest, MeanStddevGeomean) {
     EXPECT_DOUBLE_EQ(stddev({}), 0.0);
     EXPECT_DOUBLE_EQ(geomean({}), 0.0);
     const double bad[] = {1.0, -1.0};
-    EXPECT_THROW(geomean(bad), EnsureError);
+    EXPECT_THROW((void)geomean(bad), EnsureError);
 }
 
 TEST(StatsTest, Improvement) {
     EXPECT_DOUBLE_EQ(improvement(100, 84), 0.16);
     EXPECT_DOUBLE_EQ(improvement(100, 100), 0.0);
     EXPECT_LT(improvement(100, 110), 0.0);
-    EXPECT_THROW(improvement(0, 5), EnsureError);
+    EXPECT_THROW((void)improvement(0, 5), EnsureError);
 }
 
 TEST(TableTest, RenderAlignsColumns) {

@@ -236,9 +236,10 @@ int main(int argc, char** argv) {
 
     const driver::EngineStats stats = engine.stats();
     std::fprintf(stderr,
-                 "engine: %llu job(s), %llu cache hit(s), %llu busy cycle(s), "
-                 "%llu resumed\n",
+                 "engine: %llu job(s), %llu shared, %llu cache hit(s), "
+                 "%llu busy cycle(s), %llu resumed\n",
                  static_cast<unsigned long long>(stats.jobsRun),
+                 static_cast<unsigned long long>(stats.jobsShared),
                  static_cast<unsigned long long>(stats.cacheHits),
                  static_cast<unsigned long long>(stats.workerBusyCycles),
                  static_cast<unsigned long long>(stats.jobsResumed));
