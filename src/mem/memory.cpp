@@ -8,22 +8,6 @@
 
 namespace asbr {
 
-const Memory::Page* Memory::findPage(std::uint32_t tag) const {
-    const auto it = pages_.find(tag);
-    if (it == pages_.end()) return nullptr;
-    cached_ = it->second.get();
-    cachedTag_ = tag;
-    return cached_;
-}
-
-Memory::Page& Memory::pageFor(std::uint32_t tag) {
-    auto& slot = pages_[tag];
-    if (!slot) slot = std::make_unique<Page>(Page{});
-    cached_ = slot.get();
-    cachedTag_ = tag;
-    return *slot;
-}
-
 void Memory::writeBlock(std::uint32_t addr, std::span<const std::uint8_t> bytes) {
     while (!bytes.empty()) {
         const std::uint32_t offset = addr & kOffsetMask;
@@ -40,11 +24,6 @@ void Memory::writeBlock(std::uint32_t addr, std::span<const std::uint8_t> bytes)
         bytes = bytes.subspan(n);
         addr += static_cast<std::uint32_t>(n);
     }
-}
-
-void Memory::readBlock(std::uint32_t addr, std::span<std::uint8_t> out) const {
-    for (std::size_t i = 0; i < out.size(); ++i)
-        out[i] = read8(addr + static_cast<std::uint32_t>(i));
 }
 
 void Memory::loadProgram(const Program& program) {

@@ -1,25 +1,26 @@
 // Byte-addressable sparse main memory.
 //
-// Backing store is a page map so the full 32-bit address space (text, data,
-// heap, stack) is usable without reserving 4GB.  All multi-byte accesses are
-// little-endian and must be naturally aligned — ep32 has no unaligned
-// accesses, and benchmarks that violate alignment are bugs we want to catch.
+// Backing store is a two-level radix table of 4 KiB pages (mem/page_table.hpp)
+// so the full 32-bit address space (text, data, heap, stack) is usable
+// without reserving 4GB.  All multi-byte accesses are little-endian and must
+// be naturally aligned — ep32 has no unaligned accesses, and benchmarks that
+// violate alignment are bugs we want to catch.
 //
 // The accessors are the simulators' per-instruction load/store port, so they
 // are inline and word-wide (an aligned access never crosses the 4 KiB page
-// boundary), with a one-entry last-page cache in front of the hash map —
-// consecutive accesses overwhelmingly hit the same page.  The cache is an
-// instance member: each engine worker builds its own Memory, so there is no
-// shared mutable state across threads.
+// boundary), with a one-entry last-page cache in front of the page table —
+// consecutive accesses overwhelmingly hit the same page, and a miss (a codec
+// moving between its input, output and stack pages) is three loads.  The
+// cache is an instance member: each engine worker builds its own Memory, so
+// there is no shared mutable state across threads.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <unordered_map>
 
 #include "asm/program.hpp"
+#include "mem/page_table.hpp"
 #include "util/ensure.hpp"
 
 namespace asbr {
@@ -69,11 +70,9 @@ public:
         page[off + 3] = static_cast<std::uint8_t>((value >> 24) & 0xFF);
     }
 
-    /// Bulk helpers.  writeBlock copies a page-sized chunk at a time and
-    /// allocates no page for an all-zero chunk: an absent page reads as
-    /// zero.
+    /// Bulk write.  Copies a page-sized chunk at a time and allocates no
+    /// page for an all-zero chunk: an absent page reads as zero.
     void writeBlock(std::uint32_t addr, std::span<const std::uint8_t> bytes);
-    void readBlock(std::uint32_t addr, std::span<std::uint8_t> out) const;
 
     /// Copy a program image (encoded text + initialized data) into memory.
     void loadProgram(const Program& program);
@@ -98,27 +97,42 @@ private:
     static constexpr std::uint32_t kOffsetMask = kPageSize - 1;
     using Page = std::array<std::uint8_t, kPageSize>;
 
-    /// Last-page fast path.  Pages live behind unique_ptr and are never
-    /// erased, so a cached pointer stays valid across map rehashes; a read
-    /// of a not-yet-allocated page returns nullptr without polluting the
-    /// cache (a later write allocates the page and refreshes it).
+    /// Last-page fast path.  Pages never move, so a cached pointer stays
+    /// valid; a read of a not-yet-allocated page returns nullptr without
+    /// polluting the cache (a later write allocates the page and refreshes
+    /// it).
     [[nodiscard]] const Page* cachedPage(std::uint32_t addr) const {
         const std::uint32_t tag = addr >> kPageBits;
-        if (cached_ != nullptr && cachedTag_ == tag) return cached_;
+        if (cachedTag_ == tag) return cached_;
         return findPage(tag);
     }
     [[nodiscard]] Page& cachedPageMut(std::uint32_t addr) {
         const std::uint32_t tag = addr >> kPageBits;
-        if (cached_ != nullptr && cachedTag_ == tag) return *cached_;
+        if (cachedTag_ == tag) return *cached_;
         return pageFor(tag);
     }
 
-    [[nodiscard]] const Page* findPage(std::uint32_t tag) const;
-    Page& pageFor(std::uint32_t tag);
+    /// Page-table lookups that refresh the last-page cache.
+    [[nodiscard]] const Page* findPage(std::uint32_t tag) const {
+        Page* page = pages_.find(tag);
+        if (page != nullptr) {
+            cached_ = page;
+            cachedTag_ = tag;
+        }
+        return page;
+    }
+    Page& pageFor(std::uint32_t tag) {
+        cached_ = &pages_.get(tag);
+        cachedTag_ = tag;
+        return *cached_;
+    }
 
-    std::unordered_map<std::uint32_t, std::unique_ptr<Page>> pages_;
+    /// No page number reaches 2^20, so the cache starts out missing.
+    static constexpr std::uint32_t kNoPage = ~0u;
+
+    PageTable<Page> pages_;
     mutable Page* cached_ = nullptr;  ///< one-entry page cache (per instance)
-    mutable std::uint32_t cachedTag_ = 0;
+    mutable std::uint32_t cachedTag_ = kNoPage;
 };
 
 }  // namespace asbr

@@ -50,17 +50,16 @@ DecodedOp decodeOne(const Instruction& ins, std::uint32_t pc) {
 }
 
 void DecodeCache::bind(const Program& program) {
-    program_ = &program;
     textBase_ = program.textBase;
     textBytes_ = program.textEnd() - program.textBase;
-    slots_.assign(program.code.size(), DecodedOp{});
-    filled_.assign(program.code.size(), 0);
-}
-
-void DecodeCache::fill(std::size_t index, std::uint32_t pc) {
-    slots_[index] = decodeOne(program_->code[index], pc);
-    filled_[index] = 1;
-    ++stats_.fills;
+    records_.clear();
+    records_.reserve(program.code.size());
+    std::uint32_t pc = program.textBase;
+    for (const Instruction& ins : program.code) {
+        records_.push_back(decodeOne(ins, pc));
+        pc += kInstrBytes;
+    }
+    touched_.assign(program.code.size(), 0);
 }
 
 }  // namespace asbr

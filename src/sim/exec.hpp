@@ -26,8 +26,10 @@ struct ArchState {
     std::uint32_t pc = 0;
 
     [[nodiscard]] std::int32_t reg(std::uint8_t r) const { return regs[r]; }
+    /// Write, then re-zero r0: no branch on the per-instruction path.
     void setReg(std::uint8_t r, std::int32_t v) {
-        if (r != reg::zero) regs[r] = v;
+        regs[r] = v;
+        regs[reg::zero] = 0;
     }
 };
 

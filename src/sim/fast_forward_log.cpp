@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <unordered_map>
 
 #include "asbr/asbr_unit.hpp"
+#include "mem/page_table.hpp"
 #include "sim/decode_cache.hpp"
 #include "sim/functional.hpp"
 #include "util/ensure.hpp"
@@ -15,26 +15,23 @@ namespace asbr {
 namespace {
 
 /// Words written during the current interval, as one bitmap per touched
-/// 4 KiB page: marking costs a bit set per store (plus a hash lookup when
-/// the store leaves the last page), and a flush emits the words in address
-/// order, so consecutive words fall into one run.
+/// 4 KiB page: marking costs a bit set per store (plus a page-table lookup
+/// when the store leaves the last page), and a flush emits the words in
+/// address order, so consecutive words fall into one run.
 class DirtyWords {
 public:
     void mark(std::uint32_t addr) {
         const std::uint32_t tag = addr >> kPageBits;
-        if (tag != lastTag_ || pages_.empty()) {
-            const auto [it, inserted] = slotOf_.try_emplace(tag, pages_.size());
-            if (inserted) pages_.push_back(Page{});
+        if (tag != lastTag_) {
+            last_ = &pages_.get(tag);
             lastTag_ = tag;
-            last_ = it->second;
         }
-        Page& page = pages_[last_];
-        if (!page.dirty) {
-            page.dirty = true;
+        if (!last_->dirty) {
+            last_->dirty = true;
             dirtyTags_.push_back(tag);
         }
         const std::uint32_t word = (addr & kPageMask) >> 2;
-        page.bits[word / 64] |= std::uint64_t{1} << (word % 64);
+        last_->bits[word / 64] |= std::uint64_t{1} << (word % 64);
     }
 
     /// The interval's runs [address, count, value x count]... with each
@@ -45,7 +42,7 @@ public:
         std::size_t header = 0;
         std::uint32_t next = 0;
         for (const std::uint32_t tag : dirtyTags_) {
-            Page& page = pages_[slotOf_.at(tag)];
+            Page& page = *pages_.find(tag);
             for (std::size_t i = 0; i < page.bits.size(); ++i) {
                 for (std::uint64_t b = page.bits[i]; b != 0; b &= b - 1) {
                     const auto word = static_cast<std::uint32_t>(
@@ -76,12 +73,11 @@ private:
         bool dirty = false;
     };
 
-    std::unordered_map<std::uint32_t, std::size_t> slotOf_;
-    std::vector<Page> pages_;
+    PageTable<Page> pages_;
     std::vector<std::uint32_t> dirtyTags_;  ///< pages marked this interval
     std::vector<std::uint32_t> packed_;     ///< flush buffer, reused
-    std::uint32_t lastTag_ = 0;
-    std::size_t last_ = 0;
+    std::uint32_t lastTag_ = ~0u;  ///< no page number reaches 2^20
+    Page* last_ = nullptr;
 };
 
 }  // namespace

@@ -4,12 +4,14 @@
 // analysis) and as the golden reference in differential tests against the
 // cycle-accurate pipeline.  walk() is the one functional stepping loop:
 // FunctionalSim::run, the branch and prediction profiles, the fast-forward
-// log's recording walk and sampled drift all step through it.
+// log's recording walk and sampled drift all step through it, by pointer
+// over the decoded text (sim/decode_cache.hpp).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <type_traits>
 
 #include "asm/program.hpp"
@@ -20,8 +22,10 @@
 
 namespace asbr {
 
-/// Execute up to `count` instructions from `state` on the decode-cached ISS,
+/// Execute up to `count` instructions from `state` on the decoded text,
 /// stopping early once the program exits, and return how many executed.
+/// With `count == 0` or after the exit it returns 0 without touching the
+/// text, whatever `state.pc` holds.
 /// After each instruction the observer sees its record and the registers as
 /// the instruction left them: `observe(const DecodedOp&, const ArchState&)`.
 /// An observer reads what it needs from those two — a branch or store writes
@@ -30,22 +34,40 @@ namespace asbr {
 /// stepDecoded inlines (reading it back slowed a walk by a quarter or more).
 /// An observer invocable as `observe(const DecodedOp&, const StepResult&)`
 /// gets the StepResult instead; FunctionalSim's trace hook is one.
+///
+/// The walk steps by pointer: after an instruction that fell through, the
+/// next record is the following one in the decoded text.  Every other
+/// successor — a taken control transfer, or a fall-through off the last
+/// word — goes through the checked DecodeCache::at, which throws for a PC
+/// outside the text or misaligned, at the same instruction as a lookup per
+/// step.  A walk counts no decode-cache lookups.
 template <class Observer>
-inline std::uint64_t walk(DecodeCache& decode, ArchState& state,
+inline std::uint64_t walk(const DecodeCache& decode, ArchState& state,
                           Memory& memory, IoContext& io, std::uint64_t count,
                           Observer&& observe) {
+    if (count == 0 || io.exited) return 0;
+    const std::span<const DecodedOp> text = decode.records();
+    const DecodedOp* const end = text.data() + text.size();
+    const DecodedOp* dec = &decode.at(state.pc);
     std::uint64_t n = 0;
-    for (; n < count && !io.exited; ++n) {
-        const DecodedOp& dec = decode.lookup(state.pc);
+    for (;;) {
         if constexpr (std::is_invocable_v<Observer&, const DecodedOp&,
                                           const StepResult&>) {
-            observe(dec, stepDecoded(state, memory, dec, io));
+            observe(*dec, stepDecoded(state, memory, *dec, io));
         } else {
-            (void)stepDecoded(state, memory, dec, io);
-            observe(dec, static_cast<const ArchState&>(state));
+            (void)stepDecoded(state, memory, *dec, io);
+            observe(*dec, static_cast<const ArchState&>(state));
         }
+        ++n;
+        // Only the exit syscall sets io.exited, so only a syscall can end
+        // the walk early.
+        if (dec->cls == ExecClass::kSyscall && io.exited) return n;
+        if (n == count) return n;
+        if (state.pc == dec->fallthrough && dec + 1 != end)
+            ++dec;
+        else
+            dec = &decode.at(state.pc);
     }
-    return n;
 }
 
 /// Most instructions a functional pass runs between two calls of its poll
@@ -118,7 +140,7 @@ public:
 private:
     const Program& program_;
     Memory& memory_;
-    DecodeCache decode_;  ///< per-PC micro-op records; survive reset()
+    DecodeCache decode_;  ///< the decoded text; survives reset()
     ArchState state_;
     TraceHook hook_;
 };

@@ -369,8 +369,8 @@ void PipelineSim::stageFetch(Customizer& customizer) {
         }
     }
 
-    // Steady-state hot path: the text word at fetchPc_ was decoded the
-    // first time it was fetched; every later trip is an indexed cache read.
+    // Hot path: the text word at fetchPc_ was decoded when the cache was
+    // bound; every fetch is an indexed read.
     const DecodedOp& cached = decode_.lookup(fetchPc_);
     slot.dec = &cached;
     if (const auto fold = customizer.onFetch(fetchPc_, cached.ins)) {

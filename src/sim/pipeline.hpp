@@ -14,9 +14,9 @@
 // instructions never get past ID, so the pipeline is functionally equivalent
 // to the functional ISS by construction.
 //
-// Fetch is served by a decode cache (sim/decode_cache.hpp): each text PC is
-// decoded once into a DecodedOp micro-op record and every later fetch of the
-// same address reuses it.  Customizer-injected fold replacements are decoded
+// Fetch is served by a decode cache (sim/decode_cache.hpp): each text word is
+// decoded once, when the cache is bound, into a DecodedOp micro-op record and
+// every fetch of its address reuses it.  Customizer-injected fold replacements are decoded
 // on the fly instead — a BTI/BFI is not guaranteed to match the program
 // image — so the cache can never leak a stale or wrong record into the
 // fold path.  The cache affects host speed only, never simulated timing.
@@ -215,9 +215,8 @@ private:
         bool valid = false;
         std::uint32_t pc = 0;
         /// Pre-decoded micro-op.  Points either into the decode cache (whose
-        /// slots are sized once at bind() and filled in place, so records
-        /// never move) or into injected_ for customizer replacements and
-        /// out-of-text bubbles.
+        /// records are decoded once at bind() and never move) or into
+        /// injected_ for customizer replacements and out-of-text bubbles.
         const DecodedOp* dec = nullptr;
         std::uint32_t predictedNext = 0;
         bool wasFolded = false;      ///< injected by the customizer
@@ -269,7 +268,7 @@ private:
 
     Cache icache_;
     Cache dcache_;
-    DecodeCache decode_;  ///< per-PC micro-op records; filled lazily
+    DecodeCache decode_;  ///< the decoded text; counts fetch lookups
     ArchState state_;
     IoContext io_;
     PipelineStats stats_;

@@ -31,7 +31,7 @@ namespace {
 /// written before the checkpoint; the rest keep the entry the cell already
 /// holds, which a jump does not change.
 void fastForward(const FastForwardLog& log, AsbrUnit* unit,
-                 DecodeCache& decode, ArchState& state, Memory& memory,
+                 const DecodeCache& decode, ArchState& state, Memory& memory,
                  IoContext& io, std::uint64_t from, std::uint64_t to) {
     const std::uint64_t spacing = log.spacing();
     // The last checkpoint at or before `to`: the exit's, or one on the grid.

@@ -64,16 +64,20 @@ void setSampleCount(Memory& memory, const Program& program, std::size_t count) {
 void loadPcmInput(Memory& memory, const Program& program,
                   std::span<const std::int16_t> pcm) {
     const std::uint32_t base = program.symbol("in_pcm");
-    for (std::size_t i = 0; i < pcm.size(); ++i)
-        memory.writeHalf(base + static_cast<std::uint32_t>(2 * i), pcm[i]);
+    ASBR_ENSURE((base & 1u) == 0, "loadPcmInput: in_pcm is not 16-bit aligned");
+    std::vector<std::uint8_t> bytes(2 * pcm.size());
+    for (std::size_t i = 0; i < pcm.size(); ++i) {
+        const auto sample = static_cast<std::uint16_t>(pcm[i]);
+        bytes[2 * i] = static_cast<std::uint8_t>(sample & 0xFF);  // little-endian
+        bytes[2 * i + 1] = static_cast<std::uint8_t>(sample >> 8);
+    }
+    memory.writeBlock(base, bytes);
     setSampleCount(memory, program, pcm.size());
 }
 
 void loadCodeInput(Memory& memory, const Program& program,
                    std::span<const std::uint8_t> codes) {
-    const std::uint32_t base = program.symbol("io_code");
-    for (std::size_t i = 0; i < codes.size(); ++i)
-        memory.write8(base + static_cast<std::uint32_t>(i), codes[i]);
+    memory.writeBlock(program.symbol("io_code"), codes);
     setSampleCount(memory, program, codes.size());
 }
 

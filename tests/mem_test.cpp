@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <utility>
 #include <vector>
 
 #include "asm/assembler.hpp"
@@ -47,7 +49,8 @@ TEST(MemoryTest, CrossPageAccess) {
     std::array<std::uint8_t, 8> block{1, 2, 3, 4, 5, 6, 7, 8};
     m.writeBlock(4092, block);
     std::array<std::uint8_t, 8> out{};
-    m.readBlock(4092, out);
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i] = m.read8(4092 + static_cast<std::uint32_t>(i));
     EXPECT_EQ(block, out);
 }
 
@@ -67,7 +70,8 @@ TEST(MemoryTest, BlockWriteSkipsOnlyZeroChunksOfAbsentPages) {
     m.write32(kBase + 2 * 4096 + 8, 0xDEADBEEFu);  // page 2 exists already
     m.writeBlock(kStart, block);
     std::vector<std::uint8_t> out(block.size() + 8, 0xAA);
-    m.readBlock(kStart - 4, out);
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i] = m.read8(kStart - 4 + static_cast<std::uint32_t>(i));
     EXPECT_EQ(std::vector<std::uint8_t>(out.begin() + 4, out.end() - 4), block);
     for (std::size_t i = 0; i < 4; ++i) {
         EXPECT_EQ(out[i], 0) << "before the block";
@@ -80,6 +84,89 @@ TEST(MemoryTest, BlockWriteSkipsOnlyZeroChunksOfAbsentPages) {
     EXPECT_EQ(m.read32(elided), 0x01020304u);
     EXPECT_EQ(m.read32(elided + 4), 0u);
     EXPECT_EQ(m.read8(kStart + 100), block[100]);
+}
+
+// Pages at the edges of the page table: page 0, two pages of one 4 MiB
+// leaf, pages of different leaves (the stack's) and the last page, which
+// holds the BIT bank-select register and the top word of the address space.
+// Every access alternates pages, so each one misses the last-page cache.
+TEST(MemoryTest, PagesAcrossThePageTable) {
+    constexpr std::array<std::uint32_t, 7> kWords{
+        0x0000'0000u,  // page 0
+        0x0000'1000u,  // text: page 1, same leaf as page 0
+        0x0010'0FFCu,  // data: last word of a page in the same leaf
+        0x0040'0000u,  // first page of the second leaf
+        0x7FFF'FEFCu,  // just below the stack top
+        0xFFFF'0000u,  // bank-select register
+        0xFFFF'FFFCu,  // last word of the address space
+    };
+    Memory m;
+    for (const std::uint32_t addr : kWords) {
+        EXPECT_EQ(m.read32(addr), 0u) << std::hex << addr;
+        m.write32(addr, addr ^ 0xA5A5'A5A5u);
+    }
+    for (int round = 0; round < 2; ++round) {
+        for (const std::uint32_t addr : kWords)
+            EXPECT_EQ(m.read32(addr), addr ^ 0xA5A5'A5A5u) << std::hex << addr;
+    }
+    EXPECT_EQ(m.read8(0xFFFF'FFFFu), 0xA5u ^ 0xFFu);
+    EXPECT_EQ(m.read16(0xFFFF'FFFEu), 0xA5A5u ^ 0xFFFFu);
+    // Neighbours of the written words stay zero.
+    EXPECT_EQ(m.read32(0x0000'0004u), 0u);
+    EXPECT_EQ(m.read32(0x0010'1000u), 0u);
+    EXPECT_EQ(m.read32(0x003F'FFFCu), 0u);
+    EXPECT_EQ(m.read32(0xFFFE'FFFCu), 0u);
+}
+
+TEST(MemoryTest, AlternatingPagesMissTheLastPageCache) {
+    Memory m;
+    constexpr std::uint32_t kIn = 0x0010'0000;   // input page
+    constexpr std::uint32_t kOut = 0x0010'2000;  // output page
+    constexpr std::uint32_t kStack = 0x7FFF'F000;
+    for (std::uint32_t i = 0; i < 1024; ++i) {
+        m.write8(kIn + i, static_cast<std::uint8_t>(i * 3));
+        m.write16(kStack + 2 * i, static_cast<std::uint16_t>(i + 7));
+        m.write32(kOut + 4 * i, m.read8(kIn + i) + m.read16(kStack + 2 * i));
+    }
+    for (std::uint32_t i = 0; i < 1024; ++i) {
+        EXPECT_EQ(m.read16(kStack + 2 * i), i + 7);
+        EXPECT_EQ(m.read32(kOut + 4 * i), ((i * 3) & 0xFFu) + i + 7);
+        EXPECT_EQ(m.read8(kIn + i), static_cast<std::uint8_t>(i * 3));
+    }
+}
+
+TEST(MemoryTest, AbsentPageReadsZeroUntilWritten) {
+    Memory m;
+    m.write32(0x2000, 1);  // a neighbouring page exists
+    constexpr std::uint32_t kAbsent = 0x3000;
+    EXPECT_EQ(m.read8(kAbsent + 5), 0);
+    EXPECT_EQ(m.read16(kAbsent + 6), 0);
+    EXPECT_EQ(m.read32(kAbsent + 8), 0u);
+    EXPECT_EQ(m.read32(0x2000), 1u);
+    m.write8(kAbsent + 5, 0x7F);  // the first write allocates the page
+    EXPECT_EQ(m.read8(kAbsent + 5), 0x7F);
+    EXPECT_EQ(m.read32(kAbsent + 4), 0x7F00u);
+    EXPECT_EQ(m.read32(kAbsent + 8), 0u);
+    EXPECT_EQ(m.read32(0x2000), 1u);
+}
+
+TEST(MemoryTest, MovedMemoryKeepsItsContents) {
+    Memory m;
+    m.write32(0x1000, 0x11111111u);
+    m.write32(0x7FFF'FEF0u, 0x22222222u);
+    m.write32(0xFFFF'0000u, 0x33333333u);
+    Memory moved(std::move(m));
+    EXPECT_EQ(moved.read32(0x1000), 0x11111111u);
+    EXPECT_EQ(moved.read32(0x7FFF'FEF0u), 0x22222222u);
+    EXPECT_EQ(moved.read32(0xFFFF'0000u), 0x33333333u);
+    Memory assigned;
+    assigned.write32(0x1000, 0xDEADu);
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned.read32(0x1000), 0x11111111u);
+    EXPECT_EQ(assigned.read32(0xFFFF'0000u), 0x33333333u);
+    assigned.write32(0x0040'0000u, 5);
+    EXPECT_EQ(assigned.read32(0x0040'0000u), 5u);
+    EXPECT_EQ(assigned.read32(0x7FFF'FEF0u), 0x22222222u);
 }
 
 TEST(MemoryTest, AlignmentEnforced) {

@@ -52,7 +52,6 @@ main:   li   t0, 3
         move a0, t0
 )") + kExit);
     DecodeCache cache(p);
-    EXPECT_TRUE(cache.bound());
     const DecodedOp& first = cache.lookup(p.textBase);
     EXPECT_EQ(first.pc, p.textBase);
     EXPECT_EQ(first.fallthrough, p.textBase + 4);
@@ -62,6 +61,65 @@ main:   li   t0, 3
     EXPECT_EQ(cache.stats().lookups, 2u);
     EXPECT_EQ(cache.stats().fills, 1u);
     EXPECT_EQ(cache.stats().hits(), 1u);
+}
+
+// bind() decodes the whole text up front, yet lookup()'s statistics stay
+// those of a cache that decodes a word on its first lookup: a fill per
+// distinct PC, a hit per repeat, nothing for a lookup that throws.  at(),
+// the walks' checked lookup, counts nothing.
+TEST(DecodeCacheTest, BindDecodesEveryWordAndCountsFirstLookups) {
+    const Program p = assemble(std::string(R"(
+main:   li   t0, 2
+loop:   addiu t0, t0, -1
+        bnez t0, loop
+        j    done
+        nop
+done:   move a0, t0
+        jal  leaf
+)") + kExit + R"(
+leaf:   jr   ra
+)");
+    DecodeCache cache(p);
+    ASSERT_EQ(cache.records().size(), p.code.size());
+    for (std::size_t i = 0; i < p.code.size(); ++i) {
+        const std::uint32_t pc =
+            p.textBase + static_cast<std::uint32_t>(i) * kInstrBytes;
+        const DecodedOp& got = cache.records()[i];
+        const DecodedOp want = decodeOne(p.code[i], pc);
+        EXPECT_EQ(got.ins, want.ins) << "word " << i;
+        EXPECT_EQ(got.cls, want.cls) << "word " << i;
+        EXPECT_EQ(got.cond, want.cond) << "word " << i;
+        EXPECT_EQ(got.pc, pc) << "word " << i;
+        EXPECT_EQ(got.fallthrough, want.fallthrough) << "word " << i;
+        EXPECT_EQ(got.target, want.target) << "word " << i;
+        EXPECT_EQ(got.fetchNext, want.fetchNext) << "word " << i;
+        EXPECT_EQ(got.srcs.count, want.srcs.count) << "word " << i;
+        EXPECT_EQ(got.srcs.regs, want.srcs.regs) << "word " << i;
+        EXPECT_EQ(got.dest, want.dest) << "word " << i;
+        EXPECT_EQ(got.writesDest, want.writesDest) << "word " << i;
+        EXPECT_EQ(got.load, want.load) << "word " << i;
+        EXPECT_EQ(got.store, want.store) << "word " << i;
+        EXPECT_EQ(got.condBranch, want.condBranch) << "word " << i;
+        EXPECT_EQ(&cache.at(pc), &got) << "word " << i;
+        EXPECT_EQ(&cache.lookup(pc), &got) << "word " << i;
+    }
+    EXPECT_THROW((void)cache.at(p.textEnd()), EnsureError);
+    EXPECT_THROW((void)cache.at(p.textBase + 1), EnsureError);
+    EXPECT_EQ(cache.stats().lookups, p.code.size());  // at() counts nothing
+    EXPECT_EQ(cache.stats().fills, p.code.size());
+
+    cache.bind(p);  // forgets which words were looked up
+    const std::uint32_t loop = p.symbol("loop");
+    const std::uint32_t done = p.symbol("done");
+    const std::uint32_t leaf = p.symbol("leaf");
+    for (const std::uint32_t pc : {p.textBase, loop, loop + 4, loop, loop + 4,
+                                   done, leaf, done, p.textBase})
+        (void)cache.lookup(pc);
+    EXPECT_THROW((void)cache.lookup(p.textEnd()), EnsureError);
+    EXPECT_THROW((void)cache.lookup(loop + 2), EnsureError);
+    EXPECT_EQ(cache.stats().lookups, p.code.size() + 9);
+    EXPECT_EQ(cache.stats().fills, p.code.size() + 5);
+    EXPECT_EQ(cache.stats().hits(), 4u);
 }
 
 TEST(DecodeCacheTest, RebindDiscardsStaleRecords) {

@@ -3,6 +3,7 @@
 
 #include "asm/assembler.hpp"
 #include "mem/memory.hpp"
+#include "profile/profiler.hpp"
 #include "sim/functional.hpp"
 
 namespace asbr {
@@ -277,6 +278,133 @@ main:   addiu sp, sp, -16
 )") + kExit, &st);
     EXPECT_EQ(st.reg(16), 77);
     EXPECT_EQ(st.reg(reg::sp), static_cast<std::int32_t>(kStackTop));
+}
+
+// ------------------------------------------------ walk() edge cases --
+//
+// walk() steps by pointer through the decoded text while control falls
+// through; these pin the cases where it must not: the text's last word, a
+// control transfer onto it, and successors outside the text or misaligned.
+
+constexpr const char* kOutsideText =
+    "decode cache lookup outside the bound program's text";
+
+/// Runs `program` on FunctionalSim, expecting it to throw EnsureError with
+/// `message` after exactly `executed` instructions.
+void expectRunThrows(const Program& program, const std::string& message,
+                     std::uint64_t executed) {
+    Memory mem;
+    mem.loadProgram(program);
+    FunctionalSim sim(program, mem);
+    std::uint64_t seen = 0;
+    sim.setTraceHook([&](const Instruction&, const StepResult&) { ++seen; });
+    try {
+        (void)sim.run(1000);
+        ADD_FAILURE() << "no EnsureError";
+    } catch (const EnsureError& e) {
+        EXPECT_EQ(e.message(), message);
+    }
+    EXPECT_EQ(seen, executed);
+}
+
+TEST(WalkTest, FallingOffTheLastWordThrows) {
+    const Program p = assemble(R"(
+main:   li    t0, 1
+        addiu t0, t0, 1
+    )");
+    expectRunThrows(p, kOutsideText, p.code.size());
+
+    Memory mem;
+    mem.loadProgram(p);
+    FunctionalSim sim(p, mem);
+    EXPECT_THROW((void)sim.run(1000, [](const DecodedOp&, const ArchState&) {}),
+                 EnsureError);
+    EXPECT_EQ(sim.state().pc, p.textEnd());
+    EXPECT_EQ(sim.state().reg(8), 2);  // t0: both words executed
+
+    Memory profiled;
+    profiled.loadProgram(p);
+    try {
+        (void)profileProgram(p, profiled);
+        ADD_FAILURE() << "no EnsureError";
+    } catch (const EnsureError& e) {
+        EXPECT_EQ(e.message(), kOutsideText);
+    }
+}
+
+TEST(WalkTest, NothingToWalkTouchesNoText) {
+    const Program p = assemble(std::string("main:   li a0, 3\n") + kExit);
+    Memory mem;
+    mem.loadProgram(p);
+    DecodeCache decode(p);
+    IoContext io;
+    std::uint64_t seen = 0;
+    const auto count = [&](const DecodedOp&, const ArchState&) { ++seen; };
+    for (const std::uint32_t pc : {0u, p.textEnd(), p.textBase + 2}) {
+        ArchState state = resetState(p);
+        state.pc = pc;
+        EXPECT_EQ(walk(decode, state, mem, io, 0, count), 0u);
+        EXPECT_EQ(state.pc, pc);
+        EXPECT_THROW((void)walk(decode, state, mem, io, 1, count), EnsureError);
+    }
+    EXPECT_EQ(seen, 0u);
+
+    ArchState state = resetState(p);
+    EXPECT_EQ(walk(decode, state, mem, io, 100, count), p.code.size());
+    EXPECT_TRUE(io.exited);
+    EXPECT_EQ(io.exitCode, 3);
+    EXPECT_EQ(state.pc, p.textEnd());
+    EXPECT_EQ(walk(decode, state, mem, io, 100, count), 0u);
+    state.pc = 0;
+    EXPECT_EQ(walk(decode, state, mem, io, 100, count), 0u);
+    EXPECT_EQ(seen, p.code.size());
+}
+
+TEST(WalkTest, ControlTransferOntoTheLastWord) {
+    // A taken branch and a j each land on the exit syscall, the last word.
+    for (const char* transfer : {"beqz zero, last", "j    last"}) {
+        const Program p = assemble(std::string(R"(
+main:   li   v0, 1
+        li   a0, 5
+        )") + transfer + R"(
+        li   a0, 9
+last:   sys
+)");
+        Memory mem;
+        mem.loadProgram(p);
+        FunctionalSim sim(p, mem);
+        const FunctionalResult r = sim.run(1000);
+        EXPECT_TRUE(r.exited) << transfer;
+        EXPECT_EQ(r.exitCode, 5) << transfer;
+        EXPECT_EQ(r.instructions, p.code.size() - 1) << transfer;
+    }
+    // A taken branch onto a last word that is not an exit: that word runs,
+    // then the fall-through leaves the text.
+    const Program p = assemble(R"(
+main:   li    t0, 0
+        beqz  t0, last
+        nop
+last:   addiu t0, t0, 1
+    )");
+    expectRunThrows(p, kOutsideText, p.code.size() - 1);
+}
+
+TEST(WalkTest, JumpRegisterOutsideTheTextThrows) {
+    // Unaligned: stepDecoded itself refuses the jump.
+    const Program unaligned = assemble(R"(
+main:   li    t0, 0x1002
+        nop
+        jr    t0
+    )");
+    expectRunThrows(unaligned, "jr/jalr to unaligned address",
+                    unaligned.code.size() - 1);
+    // Aligned but past the text: the lookup of the next instruction throws.
+    const Program past = assemble(R"(
+main:   li    t0, 0x8000
+        jr    t0
+        nop
+    )");
+    expectRunThrows(past, kOutsideText, past.code.size() - 1);
 }
 
 }  // namespace
