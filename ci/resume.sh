@@ -17,7 +17,10 @@
 #      each key once at --threads=8, byte-identical to --threads=1;
 #   5. twins — a journaled grid of distinct keys whose BIT sizes hold the
 #      same branches simulates each machine once at --threads=8, journals
-#      every key, and stays byte-identical to --threads=1.
+#      every key, and stays byte-identical to --threads=1;
+#   6. pipeline-phase watchdog — a baseline job, which has no profile walk,
+#      must trip its 50 ms wall-clock bound through the pipeline's poll:
+#      exit 1 with one `job watchdog` line, in under a second.
 #
 # The kill lands mid-run by construction: each run is SIGKILL'd as soon as
 # its journal records the first completed job, and the grid has more jobs
@@ -236,6 +239,32 @@ fi
     echo "FAIL: campaign quarantine report does not validate" >&2
     status=1
 }
+
+# ------------------------------------------------ pipeline-phase watchdog ---
+# A baseline run resolves no profile walk, so only the cycle loop's poll can
+# see the deadline pass; a long G.721 input keeps it simulating well past it.
+echo "--- pipeline-phase watchdog (50 ms wall-clock bound)"
+set +e
+start_ns=$(date +%s%N)
+"$STATS" run --bench=g721-enc --g721=40000 --job-timeout=50 \
+    > /dev/null 2> "$tmpdir/wd.log"
+code=$?
+elapsed_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
+set -e
+if [[ $code -ne 1 ]]; then
+    echo "FAIL: watchdogged run exited $code, want 1:" >&2
+    cat "$tmpdir/wd.log" >&2
+    status=1
+elif [[ $(grep -c 'job watchdog' "$tmpdir/wd.log") -ne 1 ]]; then
+    echo "FAIL: want one 'job watchdog' line from the watchdogged run:" >&2
+    cat "$tmpdir/wd.log" >&2
+    status=1
+elif [[ $elapsed_ms -ge 1000 ]]; then
+    echo "FAIL: watchdogged run took ${elapsed_ms} ms, want under 1000" >&2
+    status=1
+else
+    echo "ok: pipeline poll tripped the job watchdog in ${elapsed_ms} ms"
+fi
 
 # ----------------------------------------------- fault-campaign resume -----
 echo "--- fault-campaign kill-and-resume"

@@ -1,6 +1,6 @@
 // The Application-Specific Branch Resolution unit — the paper's core
-// contribution, packaged as a FetchCustomizer the pipeline consults on every
-// fetch.
+// contribution, and the pipeline's one fetch-stage customizer: the pipeline
+// consults it on every fetch and feeds it the register-production events.
 //
 // Phase 1 (Early Condition Evaluation): the pipeline delivers each produced
 // value once, at the configured capture point (commit, post-execute
@@ -67,7 +67,7 @@ struct AsbrStats {
     void publish(MetricRegistry& registry) const;
 };
 
-class AsbrUnit final : public FetchCustomizer {
+class AsbrUnit {
 public:
     explicit AsbrUnit(const AsbrConfig& config = {});
 
@@ -84,16 +84,19 @@ public:
     void loadStaticFolds(std::vector<StaticFoldEntry> entries,
                          std::uint64_t bitSlotsReclaimed = 0);
 
-    /// FetchCustomizer interface --------------------------------------------
+    /// Pipeline hooks ------------------------------------------------------
     //
     // Every hook the cycle loop calls is defined here, in the header.  The
-    // pipeline instantiates its loop on this `final` type, so the calls bind
+    // pipeline instantiates its loop on this type, so the calls bind
     // directly and inline; and since asbr_core links asbr_sim, an
     // out-of-line hook would be a reference from asbr_sim back into
     // asbr_core that binaries linking only asbr_sim cannot resolve.
 
+    /// Called for every fetched instruction.  Returning a FoldOutcome removes
+    /// the fetched instruction from the stream and injects the replacement;
+    /// the next fetch continues at replacementPc + 4.
     std::optional<FoldOutcome> onFetch(std::uint32_t pc,
-                                       const Instruction& fetched) override {
+                                       const Instruction& fetched) {
         // Statically-decided branches resolve before the BIT is even
         // consulted: the direction is a customization-time constant, so no
         // BDT read, no validity check, and no way to be blocked.
@@ -142,32 +145,43 @@ public:
         return FoldOutcome{entry->bfi, pc + kInstrBytes, false};
     }
 
-    void reset() override {
+    /// Start a simulation clean: the pipeline calls this once, when it is
+    /// built, so bounded runs resume without wiping warm BDT state.  The
+    /// customization (BIT banks, static folds) stays loaded.
+    void reset() {
         bdt_.reset();
         stats_ = AsbrStats{};
         bit_.selectBank(0);
         pendingRecoveryStall_ = 0;
     }
 
-    /// A producer of `reg` passed decode: its BDT entry goes stale until the
+    /// An instruction producing `reg` completed decode (it will definitely
+    /// execute — the pipeline never lets wrong-path instructions past
+    /// decode); never called for r0.  Its BDT entry goes stale until the
     /// matching onValueAvailable.
-    void onProducerDecoded(std::uint8_t reg) override {
+    void onProducerDecoded(std::uint8_t reg) {
         if (!bdtGate(reg)) return;
         bdt_.producerDecoded(reg);
     }
 
     /// Early condition evaluation captures values at the configured stage.
-    ValueStage captureStage() const override { return config_.updateStage; }
+    /// Read once per PipelineSim::run() call.
+    [[nodiscard]] ValueStage captureStage() const { return config_.updateStage; }
 
-    /// The captured value of `reg`: recompute its direction bits and release
-    /// one pending producer.
-    void onValueAvailable(std::uint8_t reg, std::int32_t value) override {
+    /// `reg` now holds `value`: recompute its direction bits and release one
+    /// pending producer.  The pipeline fires one value event per produced
+    /// register, in program order: at captureStage(), or at kMemEnd for a
+    /// load when the capture stage is kExEnd (a loaded value does not exist
+    /// before MEM).  Every onProducerDecoded(reg) is matched by one.
+    void onValueAvailable(std::uint8_t reg, std::int32_t value) {
         if (!bdtGate(reg)) return;
         bdt_.update(reg, value);
     }
 
-    /// Stores to the bank-select control register switch the active bank.
-    void onStore(std::uint32_t addr, std::int32_t value) override {
+    /// A store to `addr` completed (MEM stage).  Stores to the bank-select
+    /// control register switch the active bank at loop transitions (paper,
+    /// Section 7); every other store is ignored.
+    void onStore(std::uint32_t addr, std::int32_t value) {
         if (addr != kBitBankSelectAddr) return;
         ++stats_.bankSwitches;
         bit_.selectBank(static_cast<std::size_t>(value));
@@ -187,7 +201,10 @@ public:
         pendingRecoveryStall_ = 0;
     }
 
-    std::uint32_t takeRecoveryStall() override {
+    /// Fetch bubbles to insert after the current fetch — the
+    /// resynchronization cost of a parity scrub after a detected soft error.
+    /// Called once per consulted fetch; the debt is consumed.
+    std::uint32_t takeRecoveryStall() {
         const std::uint32_t stall = pendingRecoveryStall_;
         pendingRecoveryStall_ = 0;
         return stall;

@@ -6,12 +6,6 @@
 
 namespace asbr::driver {
 
-void Deadline::onCycle(std::uint64_t) {
-    if (++sinceCheck_ < kCheckInterval) return;
-    sinceCheck_ = 0;
-    check();
-}
-
 void Deadline::check() const {
     if (interrupted_ != nullptr &&
         interrupted_->load(std::memory_order_relaxed))

@@ -350,9 +350,8 @@ JobResult SimEngine::execute(const SimJob& job, Deadline& deadline,
         out.tracer = std::make_shared<Tracer>(job.traceConfig);
         pipelineConfig.tracer = out.tracer.get();
     }
-    // The wall-clock watchdog rides the cycle-hook seam; an inert deadline
-    // is never installed, so un-watched runs keep a null cycleHook.
-    if (deadline.active()) pipelineConfig.cycleHook = &deadline;
+    // The pipeline polls the deadline once every kWalkPollInterval cycles.
+    pipelineConfig.poll = [&deadline] { deadline.check(); };
 
     // This cell's machine, simulated on the cell's own predictor and unit.
     const auto simulate = [&] {
@@ -360,8 +359,8 @@ JobResult SimEngine::execute(const SimJob& job, Deadline& deadline,
         if (job.sampled) {
             // The first sampled job of a (workload, geometry) records the
             // shared log here, so its simSeconds carries the walk, and
-            // checks its deadline during the walk as the pipeline's cycle
-            // hook would.  A job waiting on another job's walk is bounded by
+            // checks its deadline during the walk as the pipeline's poll
+            // does.  A job waiting on another job's walk is bounded by
             // that job's deadline: an abandoned walk is not kept, and its
             // waiters record the log again under their own.
             const auto log = workload->fastForwardLog(
@@ -586,7 +585,7 @@ DurableCampaignResult SimEngine::runCampaignDurable(
                 InjectionRecord record = runInjection(
                     factory, injections[i], out.result.context,
                     campaign.maxCycleFactor,
-                    deadline.active() ? &deadline : nullptr);
+                    [&deadline] { deadline.check(); });
                 jobsRun_.fetch_add(1, std::memory_order_relaxed);
                 busyCycles_.fetch_add(record.cycles,
                                       std::memory_order_relaxed);

@@ -58,45 +58,27 @@ CampaignContext computeContext(const FaultRunFactory& factory) {
     return context;
 }
 
-namespace {
-
-/// Chains the fault injector in front of an engine-supplied watchdog hook
-/// on the single PipelineConfig::cycleHook slot.
-class ChainedHook final : public CycleHook {
-public:
-    ChainedHook(CycleHook* first, CycleHook* second)
-        : first_(first), second_(second) {}
-    void onCycle(std::uint64_t cycle) override {
-        first_->onCycle(cycle);
-        second_->onCycle(cycle);
-    }
-
-private:
-    CycleHook* first_;
-    CycleHook* second_;
-};
-
-}  // namespace
-
 InjectionRecord runInjection(const FaultRunFactory& factory,
                              const Injection& injection,
                              const CampaignContext& context,
                              std::uint64_t maxCycleFactor,
-                             CycleHook* watchdog) {
+                             const std::function<void()>& poll) {
     InjectionRecord record;
     record.injection = injection;
 
     FaultRun run = factory();
-    FaultInjector injector(injection, *run.unit, run.bimodalTarget);
-    ChainedHook chained(&injector, watchdog);
-    run.config.cycleHook =
-        watchdog != nullptr ? static_cast<CycleHook*>(&chained) : &injector;
+    run.config.poll = poll;
     run.config.maxCycles =
         context.cleanCycles * maxCycleFactor + 10'000;
 
     try {
         PipelineSim sim(*run.program, run.memory, *run.predictor, run.config,
                         run.unit.get());
+        // The flip lands at the start of its cycle, before any stage runs:
+        // after the cycle before it.  A run that finishes first never sees
+        // it.
+        if (injection.cycle != 0 && sim.runUntil(injection.cycle - 1))
+            applySite(injection.site, *run.unit, run.bimodalTarget);
         const PipelineResult pr = sim.run();
         record.cycles = pr.stats.cycles;
         record.recoveries = run.unit->stats().parityRecoveries;

@@ -9,6 +9,9 @@
 //   lockstep check — the fault-free pipeline run must reproduce the golden
 //                    output/exit-code/registers exactly before any fault is
 //                    injected (the campaign refuses to start otherwise).
+//   injection      — the pipeline runs to the cycle before the injection's
+//                    (PipelineSim::runUntil), the bit flips while it is
+//                    paused between two cycles, and the run resumes.
 //   watchdog       — each injected run gets a cycle bound derived from the
 //                    fault-free cycle count; exceeding it is a hang.
 //
@@ -128,16 +131,17 @@ struct CampaignResult {
     const std::vector<std::vector<FaultSite>>& classes,
     const CampaignConfig& config, std::uint64_t cleanCycles);
 
-/// Execute one injected run and classify it (see FaultOutcome).  `watchdog`
-/// (optional) is chained after the injector on the cycle-hook seam — the
-/// durable engine uses it for its per-job wall-clock Deadline.  Job-level
-/// exceptions (JobTimeoutError, JobInterruptedError) propagate instead of
-/// classifying: they describe the host run, not the simulated machine.
-[[nodiscard]] InjectionRecord runInjection(const FaultRunFactory& factory,
-                                           const Injection& injection,
-                                           const CampaignContext& context,
-                                           std::uint64_t maxCycleFactor,
-                                           CycleHook* watchdog = nullptr);
+/// Execute one injected run and classify it (see FaultOutcome): run the
+/// pipeline up to the cycle before the injection's, flip the bit while it
+/// is paused there, and resume.  `poll` (optional) becomes the pipeline's
+/// PipelineConfig::poll — the durable engine passes its per-job wall-clock
+/// Deadline.  Job-level exceptions (JobTimeoutError, JobInterruptedError)
+/// propagate instead of classifying: they describe the host run, not the
+/// simulated machine.
+[[nodiscard]] InjectionRecord runInjection(
+    const FaultRunFactory& factory, const Injection& injection,
+    const CampaignContext& context, std::uint64_t maxCycleFactor,
+    const std::function<void()>& poll = {});
 
 /// Full campaign: context, deterministic site/cycle sampling, classification,
 /// one injection after another.  The serial reference that the engine's

@@ -5,8 +5,9 @@
 // a BDT condition bit, a BDT validity-counter bit, a BDT parity bit, any bit
 // of a BIT entry field, or a bit of a bimodal predictor counter.  Sites are
 // enumerated from a loaded unit, sampled deterministically by the campaign
-// runner (src/fault/campaign.hpp), and applied at an exact cycle through the
-// pipeline's CycleHook.  Architectural state (registers, memory, PC) is
+// runner (src/fault/campaign.hpp), and applied at an exact cycle while the
+// pipeline is paused there (PipelineSim::runUntil).  Architectural state
+// (registers, memory, PC) is
 // deliberately out of scope — the paper's addition is the table hardware, so
 // that is what the soft-error study targets.
 #pragma once
@@ -18,7 +19,6 @@
 #include "asbr/asbr_unit.hpp"
 #include "bp/predictor.hpp"
 #include "bp/bimodal.hpp"
-#include "sim/pipeline.hpp"
 #include "util/json.hpp"
 
 namespace asbr {
@@ -57,7 +57,9 @@ struct FaultSite {
 /// Throws EnsureError on a malformed site object.
 [[nodiscard]] FaultSite faultSiteFromJson(const JsonValue& value);
 
-/// One scheduled fault: flip `site` when the pipeline reaches `cycle`.
+/// One scheduled fault: flip `site` at the start of cycle `cycle`, before
+/// any stage runs.  Cycles count from 1, so cycle 0 never fires, and neither
+/// does a cycle the run does not reach.
 struct Injection {
     FaultSite site;
     std::uint64_t cycle = 0;
@@ -94,27 +96,5 @@ struct SiteFilter {
 [[nodiscard]] std::vector<FaultSite> enumerateSites(
     const AsbrUnit& unit, const BimodalPredictor* bimodal,
     const SiteFilter& filter = {});
-
-/// CycleHook that fires one injection at its scheduled cycle.
-class FaultInjector final : public CycleHook {
-public:
-    FaultInjector(const Injection& injection, AsbrUnit& unit,
-                  BimodalPredictor* bimodal)
-        : injection_(injection), unit_(unit), bimodal_(bimodal) {}
-
-    void onCycle(std::uint64_t cycle) override {
-        if (fired_ || cycle != injection_.cycle) return;
-        fired_ = true;
-        applySite(injection_.site, unit_, bimodal_);
-    }
-
-    [[nodiscard]] bool fired() const { return fired_; }
-
-private:
-    Injection injection_;
-    AsbrUnit& unit_;
-    BimodalPredictor* bimodal_;
-    bool fired_ = false;
-};
 
 }  // namespace asbr

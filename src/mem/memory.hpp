@@ -78,17 +78,11 @@ public:
     void loadProgram(const Program& program);
 
     /// Convenience typed accessors used by workload harnesses.
-    [[nodiscard]] std::int32_t readWord(std::uint32_t addr) const {
-        return static_cast<std::int32_t>(read32(addr));
-    }
     void writeWord(std::uint32_t addr, std::int32_t value) {
         write32(addr, static_cast<std::uint32_t>(value));
     }
     [[nodiscard]] std::int16_t readHalf(std::uint32_t addr) const {
         return static_cast<std::int16_t>(read16(addr));
-    }
-    void writeHalf(std::uint32_t addr, std::int16_t value) {
-        write16(addr, static_cast<std::uint16_t>(value));
     }
 
 private:

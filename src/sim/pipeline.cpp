@@ -1,10 +1,12 @@
 #include "sim/pipeline.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <utility>
 
 #include "asbr/asbr_unit.hpp"
+#include "sim/functional.hpp"
 #include "util/ensure.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
@@ -107,10 +109,11 @@ constexpr std::uint8_t kLaneResolve = 4;
 
 namespace {
 
-/// The customizer of a run without one: every hook is an inline no-op, so
-/// its instantiation of the cycle loop carries no customizer code at all.
+/// The customizer of a run without an ASBR unit: every hook is an inline
+/// no-op, so its instantiation of the cycle loop carries no customizer code
+/// at all.
 struct NoCustomizer {
-    static std::optional<FetchCustomizer::FoldOutcome> onFetch(
+    static std::optional<FoldOutcome> onFetch(
         std::uint32_t, const Instruction&) {
         return std::nullopt;
     }
@@ -124,29 +127,22 @@ struct NoCustomizer {
 
 PipelineSim::PipelineSim(const Program& program, Memory& memory,
                          BranchPredictor& predictor, const PipelineConfig& config,
-                         FetchCustomizer* customizer)
+                         AsbrUnit* unit)
     : program_(program),
       memory_(memory),
       predictor_(predictor),
       config_(config),
-      customizer_(customizer),
+      unit_(unit),
       icache_(config.icache),
       dcache_(config.dcache),
       decode_(program),
-      sites_(program.code.size()) {
+      sites_(program.code.size()),
+      nextPoll_(kWalkPollInterval) {
     state_ = resetState(program_);
     fetchPc_ = program_.entry;
-    // The customizer starts each simulation clean; resetting here (rather
-    // than in run()) lets bounded runs resume without wiping warm BDT state.
-    if (customizer_ != nullptr) customizer_->reset();
-}
-
-PipelineSim::PipelineSim(const Program& program, Memory& memory,
-                         BranchPredictor& predictor, const PipelineConfig& config,
-                         AsbrUnit* unit)
-    : PipelineSim(program, memory, predictor, config,
-                  static_cast<FetchCustomizer*>(unit)) {
-    asbr_ = unit;
+    // The unit starts each simulation clean; resetting here (rather than in
+    // run()) lets bounded runs resume without wiping warm BDT state.
+    if (unit_ != nullptr) unit_->reset();
 }
 
 std::uint32_t PipelineSim::exOccupancy(Op op) const {
@@ -163,9 +159,11 @@ BranchSiteStats& PipelineSim::site(std::uint32_t pc) {
     return sites_[index];
 }
 
+// Always inline: emitted out of line, this three-test guard costs a call at
+// three stages of every cycle.
 template <class Customizer>
-void PipelineSim::emitValue(Customizer& customizer, const Slot& slot,
-                            ValueStage stage) {
+[[gnu::always_inline]] inline void PipelineSim::emitValue(
+    Customizer& customizer, const Slot& slot, ValueStage stage) {
     if (!slot.exec.write) return;
     // A loaded value first exists at MEM end, so a load is captured there
     // when the customizer's stage is earlier.
@@ -440,20 +438,33 @@ void PipelineSim::warmStart(const ArchState& state, IoContext io) {
     loadUseHazard_ = false;
     hazardReg_ = reg::zero;
     // Deliberately untouched: icache_/dcache_/decode_ contents, the
-    // predictor, the customizer's BDT/BIT state, and cumulative stats_ —
-    // a warm start resumes the microarchitecture, not the program.
+    // predictor, the unit's BDT/BIT state, cumulative stats_ and the poll
+    // schedule — a warm start resumes the microarchitecture, not the
+    // program.
 }
 
+// One loop with the stop test at its top: a chunk loop nested inside a stop
+// loop made GCC -O3 spill `this` out of the fully inlined baseline loop,
+// which then ran up to a sixth slower.
 template <class Customizer>
-void PipelineSim::cycleLoop(Customizer& customizer) {
-    while (true) {
+bool PipelineSim::cycleLoop(Customizer& customizer, std::uint64_t pauseAt) {
+    std::uint64_t stop = 0;  // the nearest stop; 0 handles the entry as one
+    for (;;) {
+        // The one comparison per cycle.  Between two cycles, at the stop:
+        // poll, pause, or time out (the next cycle would be the first past
+        // the bound); then run to the next stop.
+        if (stats_.cycles >= stop) {
+            if (stats_.cycles == nextPoll_) {
+                nextPoll_ += kWalkPollInterval;
+                if (config_.poll) config_.poll();
+            }
+            if (stats_.cycles >= pauseAt) return true;
+            if (stats_.cycles >= config_.maxCycles)
+                throw SimTimeoutError(watchdogMessage(
+                    "pipeline", "cycle", config_.maxCycles, "cycles"));
+            stop = std::min({pauseAt, config_.maxCycles, nextPoll_});
+        }
         ++stats_.cycles;
-        if (stats_.cycles > config_.maxCycles)
-            throw SimTimeoutError(
-                watchdogMessage("pipeline", "cycle", config_.maxCycles,
-                                "cycles"));
-        if (config_.cycleHook != nullptr)
-            config_.cycleHook->onCycle(stats_.cycles);
         flushedThisCycle_ = false;
         // Snapshot for the load-use interlock: the instruction occupying EX
         // at the start of the cycle.
@@ -477,24 +488,23 @@ void PipelineSim::cycleLoop(Customizer& customizer) {
             halting_ = true;
             ifId_->valid = false;
         }
-        if ((io_.exited || halting_) && !idEx_->valid && !exMem_->valid &&
-            !memWb_->valid)
-            break;
+        if (finished()) return false;
     }
+}
+
+bool PipelineSim::runUntil(std::uint64_t cycle) {
+    if (finished()) return false;
+    if (unit_ == nullptr) {
+        NoCustomizer none;
+        return cycleLoop(none, cycle);
+    }
+    capture_ = unit_->captureStage();
+    return cycleLoop(*unit_, cycle);
 }
 
 PipelineResult PipelineSim::run(std::uint64_t maxCommits) {
     commitLimit_ = maxCommits == 0 ? 0 : stats_.committed + maxCommits;
-    if (asbr_ != nullptr) {
-        capture_ = asbr_->captureStage();
-        cycleLoop(*asbr_);
-    } else if (customizer_ != nullptr) {
-        capture_ = customizer_->captureStage();
-        cycleLoop(*customizer_);
-    } else {
-        NoCustomizer none;
-        cycleLoop(none);
-    }
+    (void)runUntil(std::numeric_limits<std::uint64_t>::max());
 
     for (const std::uint32_t index : executedSites_)
         stats_.branchSites[program_.textBase + index * kInstrBytes] =

@@ -16,21 +16,27 @@
 //
 // Fetch is served by a decode cache (sim/decode_cache.hpp): each text word is
 // decoded once, when the cache is bound, into a DecodedOp micro-op record and
-// every fetch of its address reuses it.  Customizer-injected fold replacements are decoded
-// on the fly instead — a BTI/BFI is not guaranteed to match the program
-// image — so the cache can never leak a stale or wrong record into the
-// fold path.  The cache affects host speed only, never simulated timing.
+// every fetch of its address reuses it.  Fold replacements the ASBR unit
+// injects are decoded on the fly instead — a BTI/BFI is not guaranteed to
+// match the program image — so the cache can never leak a stale or wrong
+// record into the fold path.  The cache affects host speed only, never
+// simulated timing.
 //
 // Host-side shape of the cycle loop: the four inter-stage latches are
 // pointers rotating over four fixed Slot records, so an instruction's slot
 // moves down the pipe without being copied; fetch fills its slot in place
 // and EX executes straight into the slot's StepResult.  The loop is one
-// template instantiated per customizer type — none, the `final` AsbrUnit
-// (hooks bound directly and inlined), and the virtual FetchCustomizer.
+// template instantiated twice — with no customizer, and with the AsbrUnit,
+// the only customizer type, whose hooks bind directly and inline.  It runs
+// in chunks: each cycle makes one comparison against the chunk end, the
+// nearest of a pause (runUntil), the cycle bound and the next poll
+// (PipelineConfig::poll), and the loop handles whichever it reached between
+// two cycles.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -49,16 +55,6 @@ class AsbrUnit;
 class MetricRegistry;
 class Tracer;
 
-/// Per-cycle observer consulted at the top of every simulated cycle, before
-/// any stage runs.  Fault-injection campaigns use it to arm single-bit flips
-/// at exact cycles; it may mutate microarchitectural state but must not touch
-/// the pipeline's own latches.  Never affects timing by itself.
-class CycleHook {
-public:
-    virtual ~CycleHook() = default;
-    virtual void onCycle(std::uint64_t cycle) = 0;
-};
-
 /// Pipeline configuration.
 struct PipelineConfig {
     CacheConfig icache{8 * 1024, 32, 2, 8};
@@ -75,8 +71,12 @@ struct PipelineConfig {
     /// program, not a long one); fault campaigns tighten it to a small
     /// multiple of the fault-free cycle count to classify hangs quickly.
     std::uint64_t maxCycles = 4'000'000'000ULL;
-    /// Optional per-cycle observer (fault injection).  Non-owning.
-    CycleHook* cycleHook = nullptr;
+    /// Optional poll, with the contract of FunctionalSim::run's: it runs
+    /// between two cycles each time the simulator's cumulative cycle count
+    /// reaches a multiple of kWalkPollInterval (sim/functional.hpp), across
+    /// run() calls, and may throw to abandon the run.  A job's deadline
+    /// rides here.
+    std::function<void()> poll;
     /// Optional structured event tracer (docs/tracing.md).  Non-owning.
     /// Tracing never changes simulated timing — only host-side cost.
     Tracer* tracer = nullptr;
@@ -170,15 +170,11 @@ struct PipelineResult {
 
 class PipelineSim {
 public:
-    /// `predictor` must outlive the simulator; `customizer` may be null.
+    /// `predictor` must outlive the simulator; `unit`, the ASBR unit that
+    /// customizes fetch, may be null and must outlive it too.
     PipelineSim(const Program& program, Memory& memory,
                 BranchPredictor& predictor, const PipelineConfig& config = {},
-                FetchCustomizer* customizer = nullptr);
-    /// The same with the ASBR unit as customizer (may be null): the cycle
-    /// loop runs on the concrete type, so the unit's hooks inline.
-    PipelineSim(const Program& program, Memory& memory,
-                BranchPredictor& predictor, const PipelineConfig& config,
-                AsbrUnit* unit);
+                AsbrUnit* unit = nullptr);
 
     /// The latches point into the simulator itself.
     PipelineSim(const PipelineSim&) = delete;
@@ -189,8 +185,18 @@ public:
     /// pipeline drains in-flight work, so the actual count may overshoot by
     /// the pipeline depth).  Throws SimTimeoutError if config.maxCycles is
     /// exceeded.  Cycle/commit counters accumulate across calls; after a
-    /// bounded run, resume with warmStart() + run().
+    /// bounded run, resume with warmStart() + run().  A run that has
+    /// finished simulates nothing more until warmStart() re-arms it.
     PipelineResult run(std::uint64_t maxCommits = 0);
+
+    /// Simulate up to and including cycle `cycle` (a cumulative count; 0 is
+    /// before the first cycle, and a cycle already simulated pauses at once)
+    /// and pause there, between two cycles, with every latch intact: a later
+    /// run() resumes bit-identically, as if it had never stopped.  Returns
+    /// false, without pausing, when the program finishes at or before
+    /// `cycle`.  A pause is not a warmStart(); fault injection flips its bit
+    /// during one.
+    bool runUntil(std::uint64_t cycle);
 
     /// Re-arm a drained simulator to resume execution from `state` with I/O
     /// context `io`: clears latches and transient stall state, sets the
@@ -232,10 +238,17 @@ private:
     /// ring of eight can never overwrite a live record.
     const DecodedOp* inject(const DecodedOp& dec);
 
-    /// The cycle loop and its stages, instantiated per customizer type
-    /// (pipeline.cpp).
+    /// The run is over: the program exited or its commit budget is spent,
+    /// and the pipeline has drained.
+    [[nodiscard]] bool finished() const {
+        return (io_.exited || halting_) && !idEx_->valid && !exMem_->valid &&
+               !memWb_->valid;
+    }
+    /// The cycle loop and its stages, instantiated with no customizer and
+    /// with the AsbrUnit (pipeline.cpp).  Returns true when it paused after
+    /// cycle `pauseAt`, false when the run finished.
     template <class Customizer>
-    void cycleLoop(Customizer& customizer);
+    bool cycleLoop(Customizer& customizer, std::uint64_t pauseAt);
     template <class Customizer>
     void stageWriteback(Customizer& customizer);
     template <class Customizer>
@@ -262,9 +275,8 @@ private:
     Memory& memory_;
     BranchPredictor& predictor_;
     PipelineConfig config_;
-    FetchCustomizer* customizer_;
-    AsbrUnit* asbr_ = nullptr;  ///< customizer_ as its concrete type, if ASBR
-    ValueStage capture_ = ValueStage::kCommit;  ///< customizer's captureStage()
+    AsbrUnit* unit_;
+    ValueStage capture_ = ValueStage::kCommit;  ///< the unit's captureStage()
 
     Cache icache_;
     Cache dcache_;
@@ -285,6 +297,7 @@ private:
     std::array<DecodedOp, 8> injected_{};  ///< ring backing injected decodes
     std::uint32_t injectedIdx_ = 0;
     std::uint64_t commitLimit_ = 0;  ///< absolute committed-count bound (0 = none)
+    std::uint64_t nextPoll_;  ///< cumulative cycle count of the next poll
     std::uint32_t fetchPc_ = 0;
     std::uint32_t ifBusy_ = 0;   ///< remaining I-cache miss stall cycles
     std::uint32_t exBusy_ = 0;   ///< remaining extra EX cycles (mul/div)

@@ -496,6 +496,31 @@ TEST(CampaignTest, CorruptedDirectionIndexAbortsUnprotected) {
     EXPECT_FALSE(r.detail.empty());
 }
 
+TEST(CampaignTest, InjectionThatNeverFiresLeavesTheRecordClean) {
+    // Cycle 0 names no cycle (the first is 1).  At the last clean cycle the
+    // exit is draining and fetch no longer reads the BIT; one cycle past it,
+    // and far past it, the program has already exited.  So none of these
+    // flips takes effect, and none may add a cycle to the record.  The site
+    // is the DI flip that aborts the run when it lands at cycle 1.
+    const auto program = toyProgram();
+    const FaultRunFactory factory = toyFactory(program, kLoopBranchPc, false);
+    const CampaignContext context = computeContext(factory);
+    FaultSite site;
+    site.unit = FaultUnit::kBit;
+    site.entry = 0;
+    site.field = BitField::kDi;
+    site.bit = 0;
+    const std::uint64_t last = context.cleanCycles;
+    for (const std::uint64_t cycle :
+         {std::uint64_t{0}, last, last + 1, last + 1000}) {
+        const InjectionRecord r = runInjection(factory, {site, cycle}, context, 4);
+        EXPECT_EQ(r.outcome, FaultOutcome::kMasked)
+            << "cycle " << cycle << ": " << faultOutcomeName(r.outcome)
+            << " — " << r.detail;
+        EXPECT_EQ(r.cycles, context.cleanCycles) << "cycle " << cycle;
+    }
+}
+
 TEST(CampaignTest, ProtectedCampaignHasNoSilentCorruption) {
     const auto program = toyProgram();
     CampaignConfig config;

@@ -180,8 +180,8 @@ TEST(MemoryTest, AlignmentEnforced) {
 TEST(MemoryTest, SignedHelpers) {
     Memory m;
     m.writeWord(0x2000, -12345);
-    EXPECT_EQ(m.readWord(0x2000), -12345);
-    m.writeHalf(0x2004, -32768);
+    EXPECT_EQ(static_cast<std::int32_t>(m.read32(0x2000)), -12345);
+    m.write16(0x2004, 0x8000);
     EXPECT_EQ(m.readHalf(0x2004), -32768);
 }
 

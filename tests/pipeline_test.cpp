@@ -1,14 +1,25 @@
-// Timing and functional-equivalence tests for the 5-stage pipeline.
+// Timing and functional-equivalence tests for the 5-stage pipeline, and
+// for its pause (runUntil) and poll.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "asbr/asbr_unit.hpp"
 #include "asm/assembler.hpp"
 #include "bp/predictor.hpp"
 #include "bp/bimodal.hpp"
 #include "bp/gshare.hpp"
 #include "bp/static_predictors.hpp"
+#include "driver/artifacts.hpp"
+#include "driver/engine.hpp"
 #include "mem/memory.hpp"
+#include "report/report.hpp"
 #include "sim/functional.hpp"
 #include "sim/pipeline.hpp"
+#include "workloads/workloads.hpp"
 
 namespace asbr {
 namespace {
@@ -268,7 +279,7 @@ done:   move a0, s0
     // Memory side effects identical.
     const std::uint32_t logAddr = p.symbol("log");
     for (std::uint32_t off = 0; off < 256; off += 4)
-        EXPECT_EQ(m2.readWord(logAddr + off), m1.readWord(logAddr + off));
+        EXPECT_EQ(m2.read32(logAddr + off), m1.read32(logAddr + off));
 }
 
 TEST(PipelineTest, PredictorAccuracyStatsConsistent) {
@@ -303,6 +314,114 @@ TEST(PipelineTest, FetchOutsideTextThrows) {
     mem.loadProgram(p);
     PipelineSim sim(p, mem, bp, perfectCaches());
     EXPECT_THROW(sim.run(), EnsureError);
+}
+
+// ------------------------------------------------------- pause and poll ----
+
+/// A run's result plus, as report bytes, every pipeline, cache and per-site
+/// counter and the unit's asbr.* metrics.
+struct Outcome {
+    PipelineResult result;
+    std::string report;
+};
+
+void expectSameOutcome(const Outcome& got, const Outcome& want,
+                       const std::string& what) {
+    EXPECT_EQ(got.report, want.report) << what;
+    EXPECT_EQ(got.result.exited, want.result.exited) << what;
+    EXPECT_EQ(got.result.exitCode, want.result.exitCode) << what;
+    EXPECT_EQ(got.result.output, want.result.output) << what;
+    EXPECT_EQ(got.result.finalState.regs, want.result.finalState.regs) << what;
+    EXPECT_EQ(got.result.finalState.pc, want.result.finalState.pc) << what;
+}
+
+/// Roughly 110k instructions per codec.
+std::size_t smallSamples(BenchId id) {
+    switch (id) {
+        case BenchId::kAdpcmEncode: return 1'000;
+        case BenchId::kAdpcmDecode: return 1'400;
+        case BenchId::kG721Encode: return 30;
+        case BenchId::kG721Decode: return 32;
+        case BenchId::kG711Encode: return 800;
+        case BenchId::kG711Decode: return 2'000;
+    }
+    return 0;
+}
+
+TEST(PipelinePauseTest, PausedRunResumesBitIdenticallyOnEveryCodec) {
+    driver::SimEngine engine;
+    for (const BenchId id : kAllBenchesExtended) {
+        for (const bool asbr : {false, true}) {
+            driver::SimJob job;
+            job.workload = id;
+            job.samples = smallSamples(id);
+            job.asbr = asbr;
+            const auto workload = engine.workloadFor(job);
+            const driver::Prepared& prepared = workload->prepared();
+            std::shared_ptr<const driver::SelectionArtifacts> selection;
+            if (asbr) selection = engine.selectionFor(job);
+            const std::string what =
+                std::string(benchName(id)) + (asbr ? " asbr" : " baseline");
+
+            // Pause at each of `pauses` in turn, expecting runUntil to return
+            // `paused`, then run() to the end.
+            const auto runWithPauses = [&](const std::vector<std::uint64_t>&
+                                               pauses,
+                                           bool paused) {
+                Memory memory = driver::makeMemory(prepared);
+                auto bp = makeBimodal2048();
+                std::unique_ptr<AsbrUnit> unit;
+                if (selection != nullptr) unit = selection->makeUnit(false);
+                PipelineSim sim(prepared.program, memory, *bp,
+                                PipelineConfig{}, unit.get());
+                for (const std::uint64_t cycle : pauses) {
+                    EXPECT_EQ(sim.runUntil(cycle), paused)
+                        << what << " cycle " << cycle;
+                    if (paused) {
+                        EXPECT_EQ(sim.stats().cycles, cycle) << what;
+                    }
+                }
+                Outcome out{sim.run(), {}};
+                out.report = simReportJson(makeSimReport(RunMeta{},
+                                                         out.result.stats,
+                                                         nullptr, unit.get()))
+                                 .dump(2);
+                return out;
+            };
+
+            const Outcome once = runWithPauses({}, true);
+            ASSERT_TRUE(once.result.exited) << what;
+            if (asbr) {
+                EXPECT_GT(once.result.stats.foldedBranches, 0u) << what;
+            }
+            const std::uint64_t total = once.result.stats.cycles;
+            ASSERT_GT(total, kWalkPollInterval + 2) << what;
+            std::vector<std::uint64_t> pauses = {
+                0, 1, 2, 3, 17, kWalkPollInterval - 1, kWalkPollInterval,
+                total / 2, total - 1};
+            std::sort(pauses.begin(), pauses.end());
+            expectSameOutcome(runWithPauses(pauses, true), once,
+                              what + " paused");
+            // A program that finishes before its pause simulates no extra
+            // cycle, however often it is asked to go on.
+            expectSameOutcome(
+                runWithPauses({total, total + 1, total + 1000}, false), once,
+                what + " finished first");
+        }
+    }
+}
+
+TEST(PipelinePauseTest, ThrowingPollStopsTheRunAtItsFirstPoll) {
+    struct Abandoned {};
+    const Program p = assemble("main: j main\n");  // never exits
+    Memory mem;
+    mem.loadProgram(p);
+    NotTakenPredictor bp;
+    PipelineConfig cfg = perfectCaches();
+    cfg.poll = [] { throw Abandoned{}; };
+    PipelineSim sim(p, mem, bp, cfg);
+    EXPECT_THROW(sim.run(), Abandoned);
+    EXPECT_EQ(sim.stats().cycles, kWalkPollInterval);
 }
 
 }  // namespace

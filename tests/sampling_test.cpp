@@ -1,8 +1,8 @@
 // Decode-cache and sampled-simulation tests (docs/simulation.md).
 //
 // The decode cache must be invisible: rebinding discards stale records, and
-// customizer-injected fold replacements are decoded fresh — never served
-// from or written into the cache — so a scripted fold at one fetch does not
+// the fold replacements the ASBR unit injects are decoded fresh — never
+// served from or written into the cache — so a fold at one fetch does not
 // change what later fetches of the same PC execute.  Sampling must be
 // architecturally exact (same program output as a full run, ASBR included)
 // and its report byte-identical across engine thread counts; jumping across
@@ -30,6 +30,7 @@
 #include "report/sampling_report.hpp"
 #include "sim/decode_cache.hpp"
 #include "sim/fast_forward_log.hpp"
+#include "sim/functional.hpp"
 #include "sim/pipeline.hpp"
 #include "sim/sampling.hpp"
 #include "util/metrics.hpp"
@@ -152,82 +153,43 @@ loop:   addiu t0, t0, -1
     EXPECT_EQ(dec.fetchNext, branchPc + 4);  // predictor decides, not decode
 }
 
-// A scripted customizer that folds the branch at `branchPc` exactly once,
-// injecting the branch-target instruction (BTI semantics).  If the pipeline
-// ever cached the replacement under the branch's fetch address, every later
-// iteration would execute the replacement instead of the branch and the
-// loop would terminate after one pass.
-struct OneShotBtiFold final : FetchCustomizer {
-    std::uint32_t branchPc = 0;
-    Instruction replacement{};
-    std::uint32_t replacementPc = 0;
-    bool armed = true;
-    int folds = 0;
-
-    std::optional<FoldOutcome> onFetch(std::uint32_t pc,
-                                       const Instruction&) override {
-        if (pc != branchPc || !armed) return std::nullopt;
-        armed = false;
-        ++folds;
-        return FoldOutcome{replacement, replacementPc, true};
-    }
-    void onProducerDecoded(std::uint8_t) override {}
-    ValueStage captureStage() const override { return ValueStage::kCommit; }
-    void onValueAvailable(std::uint8_t, std::int32_t) override {}
-    void reset() override {
-        armed = true;
-        folds = 0;
-    }
-};
-
+// A BIT entry folds the loop branch on every iteration, injecting the
+// branch-target instruction (BTI) as its replacement.  If the pipeline ever
+// cached a replacement under the branch's fetch address, the next fetch
+// there would hand the unit that instruction instead of the branch and trip
+// its BIT-entry check.
 TEST(DecodeCacheTest, FoldReplacementIsNotCachedUnderBranchPc) {
     const Program p = assemble(std::string(R"(
 main:   li   t0, 5
         li   t1, 0
-loop:   addiu t1, t1, 2
-        addiu t0, t0, -1
+loop:   addiu t0, t0, -1
+        addiu t1, t1, 2
+        nop
+        nop
         bnez t0, loop
         move a0, t1
 )") + kExit);
-    const std::uint32_t loop = p.symbol("loop");
-    OneShotBtiFold fold;
-    fold.branchPc = loop + 8;  // the bnez
-    fold.replacement = p.at(loop);
-    fold.replacementPc = loop;
+    const std::uint32_t pcs[] = {p.symbol("loop") + 16};  // the bnez
+    AsbrUnit unit;
+    unit.loadBank(0, extractBranchInfos(p, pcs));
 
     Memory mem;
     mem.loadProgram(p);
     auto bp = makeBimodal2048();
-    PipelineSim sim(p, mem, *bp, PipelineConfig{}, &fold);
+    PipelineSim sim(p, mem, *bp, PipelineConfig{}, &unit);
     const PipelineResult r = sim.run();
     ASSERT_TRUE(r.exited);
-    // 5 iterations of t1 += 2 regardless of the one-shot fold; a polluted
-    // decode cache would exit after a single pass (exit code 4).
+    // 5 iterations of t1 += 2: four taken folds, then the exit's fall-through.
     EXPECT_EQ(r.exitCode, 10);
-    EXPECT_EQ(fold.folds, 1);
-    EXPECT_EQ(r.stats.foldedBranches, 1u);
+    EXPECT_EQ(unit.stats().folds, 5u);
+    EXPECT_EQ(r.stats.foldedBranches, 5u);
     EXPECT_GT(r.stats.decodeCacheHits, 0u);
 }
 
-// Folds the same never-taken branch on *every* fetch (replacement executes
-// at the branch's own PC — the self-referencing case): repeated bypass of
-// one cache slot, with the architectural result of the unfolded run.
-struct EveryFetchNopFold final : FetchCustomizer {
-    std::uint32_t branchPc = 0;
-    int folds = 0;
-
-    std::optional<FoldOutcome> onFetch(std::uint32_t pc,
-                                       const Instruction&) override {
-        if (pc != branchPc) return std::nullopt;
-        ++folds;
-        return FoldOutcome{Instruction{}, pc, false};
-    }
-    void onProducerDecoded(std::uint8_t) override {}
-    ValueStage captureStage() const override { return ValueStage::kCommit; }
-    void onValueAvailable(std::uint8_t, std::int32_t) override {}
-    void reset() override { folds = 0; }
-};
-
+// A static-fold entry folds the same never-taken branch on *every* fetch,
+// with a replacement that executes at the branch's own PC — the
+// self-referencing case: repeated bypass of one cache slot, with the
+// architectural result of the unfolded run.
 TEST(DecodeCacheTest, RepeatedSelfReferencingFoldMatchesBaseline) {
     const Program p = assemble(std::string(R"(
 main:   li   t0, 5
@@ -245,18 +207,20 @@ done:   move a0, t1
     PipelineSim base(p, baseMem, *baseBp);
     const PipelineResult expected = base.run();
 
-    EveryFetchNopFold fold;
-    fold.branchPc = p.symbol("loop");
+    const std::uint32_t branchPc = p.symbol("loop");
+    AsbrUnit unit;
+    unit.loadStaticFolds({StaticFoldEntry{branchPc, false, Instruction{},
+                                          branchPc}});
     Memory mem;
     mem.loadProgram(p);
     auto bp = makeBimodal2048();
-    PipelineSim sim(p, mem, *bp, PipelineConfig{}, &fold);
+    PipelineSim sim(p, mem, *bp, PipelineConfig{}, &unit);
     const PipelineResult r = sim.run();
     ASSERT_TRUE(r.exited);
     EXPECT_EQ(r.exitCode, expected.exitCode);
     EXPECT_EQ(r.output, expected.output);
     EXPECT_EQ(r.stats.committed, expected.stats.committed);
-    EXPECT_GE(fold.folds, 5);
+    EXPECT_GE(unit.stats().staticFolds, 5u);
     EXPECT_GT(r.stats.foldedBranches, 0u);
 }
 
@@ -295,6 +259,30 @@ TEST(SamplingTest, SampledRunMatchesFullRunArchitecturally) {
     EXPECT_EQ(windowInstructions, s.measuredInstructions);
     EXPECT_EQ(windowCycles, s.measuredCycles);
     EXPECT_GT(s.cpiEstimate, 1.0);
+}
+
+TEST(SamplingTest, PipelinePollCountsCyclesAcrossWindows) {
+    // A sampled run calls run() once per short window.  The poll schedule
+    // follows the cumulative cycle count across those calls, so a deadline
+    // is still checked although no single window reaches kWalkPollInterval
+    // cycles.
+    const driver::Prepared prepared = tinyWorkload(BenchId::kG721Encode);
+    std::uint64_t polls = 0;
+    PipelineConfig config;
+    config.poll = [&polls] { ++polls; };
+    auto bp = makeBimodal2048();
+    const SampledResult s = driver::runSampledPipeline(
+        prepared, *bp, /*customizer=*/nullptr, kTinyWindows, config);
+    ASSERT_GT(s.stats.cycles, kWalkPollInterval);
+    EXPECT_GE(polls, s.stats.cycles / kWalkPollInterval);
+
+    // A poll that throws abandons the sampled run with its own exception.
+    struct Abandoned {};
+    config.poll = [] { throw Abandoned{}; };
+    auto bp2 = makeBimodal2048();
+    EXPECT_THROW((void)driver::runSampledPipeline(prepared, *bp2, nullptr,
+                                                  kTinyWindows, config),
+                 Abandoned);
 }
 
 TEST(SamplingTest, AsbrSampledRunKeepsDirectionBitsExact) {

@@ -264,7 +264,7 @@ main:   li  t0, 1234
         sw  t0, out
 )") + kExit, nullptr, &mem);
     const Program p = assemble(".data\nout: .space 4\n");
-    EXPECT_EQ(mem.readWord(p.symbol("out")), 1234);
+    EXPECT_EQ(mem.read32(p.symbol("out")), 1234u);
 }
 
 TEST(FunctionalSimTest, StackPointerInitialized) {
