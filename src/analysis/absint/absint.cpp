@@ -47,6 +47,7 @@ ValueAnalysis analyzeValues(const Cfg& cfg, const LoopForest& loops) {
     // --- Ascending phase: worklist fixpoint with widening. -----------------
     std::deque<std::size_t> worklist;
     std::vector<char> inList(n, 0);
+    std::vector<std::size_t> raises(n, 0);  // rises of each blockIn
     auto enqueue = [&](std::size_t b) {
         if (!inList[b]) {
             inList[b] = 1;
@@ -87,7 +88,8 @@ ValueAnalysis analyzeValues(const Cfg& cfg, const LoopForest& loops) {
             }
             RegState next;
             bool changed = false;
-            const bool widenHere = loops.isWideningPoint(succ);
+            const bool widenHere =
+                loops.isWideningPoint(succ) && raises[succ] > kWidenAfter;
             for (int r = 0; r < kNumRegs; ++r) {
                 const AbsValue joined = va.blockIn[succ][r].join(edgeOut[r]);
                 next[r] = forceTop ? (r == reg::zero ? AbsValue::constant(0)
@@ -98,6 +100,7 @@ ValueAnalysis analyzeValues(const Cfg& cfg, const LoopForest& loops) {
             }
             if (changed) {
                 va.blockIn[succ] = next;
+                ++raises[succ];
                 enqueue(succ);
             }
         }

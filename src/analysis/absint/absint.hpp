@@ -4,7 +4,11 @@
 // `Cfg`, widening at the retreating-edge targets recorded by the loop pass
 // (analysis/loops.hpp) so the ascending phase terminates on real workloads,
 // then applying a short bounded narrowing phase (x := x meet F(x) in RPO)
-// to claw back precision the widening jumps gave away.
+// to claw back precision the widening jumps gave away.  A widening point
+// joins plainly until its entry state has risen more than kWidenAfter times
+// (absint/refine.hpp), the same delay SCCP gives each def.  This is the
+// analysis's only branch-verdict engine; analysis/ipa/ipa.hpp runs it on
+// the resolution-refined graph.
 //
 // The entry state is precise, not top: both simulators reset to the same
 // deterministic machine state (all registers 0, sp = kStackTop,

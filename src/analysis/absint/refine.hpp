@@ -1,18 +1,26 @@
-// Shared abstract transfer functions and branch-edge refinement.
+// Shared abstract transfer functions, branch-edge refinement and widening
+// delay.
 //
 // The dense fixpoint (absint.cpp) and the sparse SCCP engine
-// (analysis/ipa/sccp.cpp) must agree *exactly* on instruction semantics and
-// on how a conditional branch refines the tested register (and, through the
-// slt-family compare idiom, its operands) along each outgoing edge — any
-// divergence would make their verdicts incomparable and the reduced product
-// the verifier consumes unsound.  This header is the single home of that
-// logic; both engines call into it.
+// (analysis/ipa/sccp.cpp) share the instruction semantics, the refinement a
+// conditional branch applies to the tested register (and, through the
+// slt-family compare idiom, its operands) along each outgoing edge, and the
+// point where a rising value starts to widen.  This header is the single
+// home of that logic; both engines call into it.
 #pragma once
+
+#include <cstdint>
 
 #include "analysis/absint/absint.hpp"
 #include "analysis/cfg.hpp"
 
 namespace asbr::analysis {
+
+/// A block's entry state at a widening point (dense) or an SSA def (SCCP)
+/// widens only once it has risen more than this many times.  The delay
+/// keeps short chains, such as a loop-carried guard that settles after a
+/// few iterations, exact; the threshold ladder still bounds the long ones.
+inline constexpr std::uint16_t kWidenAfter = 12;
 
 /// The deterministic machine state both simulators reset to
 /// (sim/functional.cpp, sim/pipeline.cpp): all registers zero except the

@@ -1,33 +1,6 @@
 #include "analysis/ipa/ipa.hpp"
 
-#include <algorithm>
-
-#include "analysis/absint/refine.hpp"
-
 namespace asbr::analysis::ipa {
-
-namespace {
-
-/// Reduced product of two sound direction verdicts.  Contradicting proofs
-/// (one engine says always, the other never) mean the branch can never
-/// actually execute.
-BranchDirection mergeDir(BranchDirection a, BranchDirection b) {
-    using D = BranchDirection;
-    if (a == D::kUnreachable || b == D::kUnreachable) return D::kUnreachable;
-    if ((a == D::kAlwaysTaken && b == D::kNeverTaken) ||
-        (a == D::kNeverTaken && b == D::kAlwaysTaken))
-        return D::kUnreachable;
-    if (a == D::kAlwaysTaken || b == D::kAlwaysTaken) return D::kAlwaysTaken;
-    if (a == D::kNeverTaken || b == D::kNeverTaken) return D::kNeverTaken;
-    return D::kDynamic;
-}
-
-bool decided(BranchDirection d) {
-    return d == BranchDirection::kAlwaysTaken ||
-           d == BranchDirection::kNeverTaken;
-}
-
-}  // namespace
 
 IpaAnalysis analyzeProgram(const Program& program) {
     IpaAnalysis a;
@@ -39,7 +12,7 @@ IpaAnalysis analyzeProgram(const Program& program) {
         a.doms = computeDominators(a.cfg);
         a.loops = computeLoops(a.cfg, a.doms);
         a.ssa = buildSsa(a.cfg, a.doms);
-        a.sccp = runSccp(a.cfg, a.doms, a.loops, a.ssa);
+        a.sccp = runSccp(a.cfg, a.doms, a.ssa);
         if (round >= kMaxRounds) break;  // freeze: analysis matches `resolved`
         IndirectResolution res = resolveIndirects(a.cfg, a.ssa, a.sccp);
         const bool stable = res.map == resolved;
@@ -48,47 +21,7 @@ IpaAnalysis analyzeProgram(const Program& program) {
         resolved = a.resolution.map;
     }
 
-    // Dense fixpoint on the final graph, then the reduced product.
     a.values = analyzeValues(a.cfg, a.loops);
-    a.denseDir = a.values.branchDir;
-    const std::size_t n = a.cfg.blocks.size();
-    for (InstrIndex i = 0; i < a.cfg.numInstructions(); ++i) {
-        if (!isCondBranch(program.code[i].op)) continue;
-        const BranchDirection dense = a.values.branchDir[i];
-        const BranchDirection sparse = a.sccp.branchDir[i];
-        a.values.branchDir[i] = mergeDir(dense, sparse);
-        a.values.condAtBranch[i] =
-            a.values.condAtBranch[i].meet(a.sccp.condAtBranch[i]);
-        if (decided(dense)) ++a.stats.denseDecided;
-        if (decided(sparse)) ++a.stats.sccpDecided;
-        if (decided(a.values.branchDir[i])) ++a.stats.mergedDecided;
-    }
-    for (std::size_t b = 0; b < n; ++b) {
-        a.values.blockReachable[b] =
-            a.values.blockReachable[b] && a.sccp.blockExecutable[b];
-        for (std::size_t si = 0; si < a.values.feasibleEdge[b].size(); ++si)
-            a.values.feasibleEdge[b][si] =
-                a.values.feasibleEdge[b][si] && a.sccp.edgeExecutable[b][si];
-    }
-    a.values.converged = a.values.converged && a.sccp.converged;
-
-    // Rebuild the derived lint lists from the merged facts.
-    a.values.unreachableBlocks.clear();
-    a.values.deadArms.clear();
-    for (std::size_t b = 0; b < n; ++b) {
-        if (!a.values.blockReachable[b]) {
-            a.values.unreachableBlocks.push_back(b);
-            continue;
-        }
-        const EdgeRefinement er = edgeRefinement(a.cfg, b);
-        if (!er.isBranch || er.targetIdx == er.fallthroughIdx) continue;
-        const InstrIndex branch = a.cfg.blocks[b].last;
-        if (a.values.branchDir[branch] == BranchDirection::kAlwaysTaken)
-            a.values.deadArms.push_back({branch, /*takenArm=*/false});
-        else if (a.values.branchDir[branch] == BranchDirection::kNeverTaken)
-            a.values.deadArms.push_back({branch, /*takenArm=*/true});
-    }
-
     a.callGraph = buildCallGraph(a.cfg, a.ssa, a.sccp, a.resolution.map);
     a.stats.ssaDefs = a.ssa.defs.size();
     a.stats.ssaPhis = a.ssa.numPhis();

@@ -12,13 +12,11 @@
 // already-sound map), so the final CFG edges over-approximate every real
 // transfer and all downstream consumers stay sound.
 //
-// On the final graph the dense interpreter (absint) runs once more and its
-// verdicts are *merged* with SCCP's as a reduced product: a branch folds
-// statically when either engine proves it, edges are feasible only when
-// both agree they can run, and block reachability is the conjunction.  The
-// merged ValueAnalysis is a drop-in for the dense one — the
-// FoldLegalityVerifier, selection and the WCET engine consume it
-// unchanged.
+// On the final graph the dense interpreter (absint) runs once more; its
+// ValueAnalysis is the only source of branch verdicts, reachable blocks and
+// feasible edges — the FoldLegalityVerifier, selection and the WCET engine
+// consume it.  SCCP's values serve value-set resolution, the call-graph
+// summaries and the SSA lints.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +32,7 @@
 
 namespace asbr::analysis::ipa {
 
-/// Aggregate precision counters for the report and the regression tests.
+/// Aggregate counters for the report and the regression tests.
 struct IpaStats {
     std::size_t rounds = 0;
     std::size_t ssaDefs = 0;
@@ -42,10 +40,6 @@ struct IpaStats {
     std::size_t ssaUses = 0;
     std::size_t sccpIterations = 0;
     bool sccpConverged = true;
-    /// Conditional branches proved always/never-taken ...
-    std::size_t denseDecided = 0;   ///< ... by the dense interpreter alone
-    std::size_t sccpDecided = 0;    ///< ... by SCCP alone
-    std::size_t mergedDecided = 0;  ///< ... by the reduced product
 };
 
 struct IpaAnalysis {
@@ -54,11 +48,8 @@ struct IpaAnalysis {
     LoopForest loops;
     SsaForm ssa;
     SccpResult sccp;
-    /// Dense fixpoint on the final graph with SCCP merged in (the reduced
-    /// product described in the header comment).
+    /// Dense fixpoint on the final graph: the branch verdicts.
     ValueAnalysis values;
-    /// The dense verdicts alone, for precision comparison.
-    std::vector<BranchDirection> denseDir;
     IndirectResolution resolution;
     CallGraph callGraph;
     IpaStats stats;

@@ -9,12 +9,6 @@ namespace asbr::analysis::ipa {
 
 namespace {
 
-/// Per-def updates tolerated before switching to interval widening.  The
-/// dense engine widens at every widening-point join from the start; a small
-/// delay here keeps SCCP at least as precise on short chains while the
-/// threshold ladder still bounds the long ones.
-constexpr std::uint16_t kWidenAfter = 12;
-
 struct Engine {
     const Cfg& cfg;
     const DominatorTree& doms;
@@ -253,8 +247,7 @@ struct Engine {
     }
 
     /// Budget exhausted: every value in an executable region becomes top
-    /// and executability is closed transitively — sound, verdicts all
-    /// degrade to Dynamic.
+    /// and executability is closed transitively — sound, only imprecise.
     void forceTop() {
         out.converged = false;
         for (std::size_t d = 0; d < out.value.size(); ++d)
@@ -303,84 +296,12 @@ struct Engine {
             }
         }
     }
-
-    /// Meet `v` (the value of def `d`, register R, tested at a branch in
-    /// block `b`) with every refinement from dominating one-sided branch
-    /// edges: a single-pred block c whose predecessor is its idom p sits on
-    /// *every* path from entry to b, so the branch condition p imposes on
-    /// the edge p -> c holds whenever the branch at b runs.  Recovers the
-    /// `beqz s0, ..; beqz s0, ..` double-test verdicts the dense engine
-    /// gets from threading refined states through blocks.
-    [[nodiscard]] AbsValue sharpenByDominators(std::size_t b, std::uint32_t d,
-                                               AbsValue v) const {
-        const std::uint8_t reg = ssa.defs[d].reg;
-        std::size_t c = b;
-        for (int steps = 0; steps < 64; ++steps) {
-            const std::size_t p = doms.idom[c];
-            if (p == kNoBlock || p == c) break;
-            if (cfg.blocks[c].preds.size() == 1 &&
-                cfg.blocks[c].preds[0] == p) {
-                const EdgeRefinement& er = refinement[p];
-                if (er.isBranch) {
-                    RegState tmp;
-                    tmp.fill(AbsValue::top());
-                    tmp[reg::zero] = AbsValue::constant(0);
-                    auto seed = [&](std::uint8_t r) {
-                        tmp[r] = ssa.defAtExit[p][r] == d
-                                     ? v
-                                     : valOrTop(ssa.defAtExit[p][r]);
-                    };
-                    seed(er.condReg);
-                    if (er.hasCmp) {
-                        seed(er.cmpA);
-                        if (er.cmpBIsReg) seed(er.cmpB);
-                    }
-                    seed(reg);
-                    if (refineForEdge(cfg, er, c, tmp) &&
-                        ssa.defAtExit[p][reg] == d && !tmp[reg].isBottom())
-                        v = v.meet(tmp[reg]);
-                }
-            }
-            c = p;
-        }
-        return v;
-    }
-
-    /// Derive per-branch verdicts from the final values.
-    void deriveVerdicts() {
-        for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-            if (!out.blockExecutable[b]) continue;
-            const BasicBlock& block = cfg.blocks[b];
-            for (InstrIndex i = block.first; i <= block.last; ++i) {
-                const Instruction& ins = cfg.program->code[i];
-                if (ins.op == Op::kSys && sysHalts(i)) break;
-                if (!isCondBranch(ins.op)) continue;
-                const std::uint32_t d = ssa.srcDef[i][0];
-                AbsValue v = valOf(d);
-                if (d != kNoDef && !v.isBottom())
-                    v = sharpenByDominators(b, d, v);
-                out.condAtBranch[i] = v;
-                switch (evalCondAbs(branchCond(ins.op), v)) {
-                    case TriBool::kTrue:
-                        out.branchDir[i] = BranchDirection::kAlwaysTaken;
-                        break;
-                    case TriBool::kFalse:
-                        out.branchDir[i] = BranchDirection::kNeverTaken;
-                        break;
-                    case TriBool::kUnknown:
-                        out.branchDir[i] = BranchDirection::kDynamic;
-                        break;
-                }
-            }
-        }
-    }
 };
 
 }  // namespace
 
 SccpResult runSccp(const Cfg& cfg, const DominatorTree& doms,
-                   const LoopForest& loops, const SsaForm& ssa) {
-    (void)loops;  // widening is per-def here; kept for interface symmetry
+                   const SsaForm& ssa) {
     SccpResult res;
     const std::size_t n = cfg.blocks.size();
     res.value.assign(ssa.defs.size(), AbsValue::bottom());
@@ -388,13 +309,10 @@ SccpResult runSccp(const Cfg& cfg, const DominatorTree& doms,
     res.edgeExecutable.resize(n);
     for (std::size_t b = 0; b < n; ++b)
         res.edgeExecutable[b].assign(cfg.blocks[b].succs.size(), 0);
-    res.branchDir.assign(cfg.numInstructions(), BranchDirection::kUnreachable);
-    res.condAtBranch.assign(cfg.numInstructions(), AbsValue::bottom());
     if (n == 0 || cfg.entryBlock == kNoBlock) return res;
 
     Engine engine(cfg, doms, ssa, res);
     engine.run();
-    engine.deriveVerdicts();
     return res;
 }
 

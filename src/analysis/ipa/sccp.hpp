@@ -4,28 +4,26 @@
 // CFG-edge worklist discovers executable blocks, an SSA-edge worklist
 // re-evaluates only the uses of defs whose value rose, and φs join only the
 // operands arriving along executable edges — so code behind a
-// provably-one-sided branch contributes nothing, which is exactly where
-// sparse beats the dense fixpoint (absint.cpp) on cost and matches it on
-// precision.
+// provably-one-sided branch contributes nothing.
 //
-// Three refinements close the precision gap the dense engine's per-edge
-// state threading would otherwise win:
+// Its per-def values feed value-set resolution of indirect jumps
+// (analysis/ipa/valueset), the call-graph summaries and the SSA lints;
+// branch verdicts come from the dense engine (analysis/absint) alone.  Two
+// refinements keep the values as tight as the dense engine's per-edge
+// states:
 //   - φ operands are refined by the predecessor's branch condition (the
 //     shared refineForEdge/compare-operand logic from absint/refine.hpp)
 //     before joining, recovering the dense edge refinement at join points;
-//   - branch verdicts additionally meet the tested def's value with every
-//     refinement from *dominating* one-sided branch edges on the idom chain
-//     (the `beqz s0, A; ...; beqz s0, B` double-test pattern a pure SSA
-//     value cannot see);
 //   - after the ascending fixpoint, two sparse narrowing sweeps re-evaluate
 //     every def from its operands and meet the result into the stored value
 //     (both sides over-approximate, so the intersection still does),
 //     clawing back widening overshoot exactly like the dense engine.
 //
 // Termination: values only rise during the ascending phase, and a per-def
-// update counter switches to interval widening past a small cap, so the
-// threshold ladder bounds every chain.  A global evaluation budget forces
-// the remaining state to top (converged = false) on pathological graphs.
+// update counter switches to interval widening past kWidenAfter
+// (absint/refine.hpp), so the threshold ladder bounds every chain.  A
+// global evaluation budget forces the remaining state to top
+// (converged = false) on pathological graphs.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +33,6 @@
 #include "analysis/cfg.hpp"
 #include "analysis/dominators.hpp"
 #include "analysis/ipa/ssa.hpp"
-#include "analysis/loops.hpp"
 
 namespace asbr::analysis::ipa {
 
@@ -47,24 +44,13 @@ struct SccpResult {
     std::vector<char> blockExecutable;
     /// edgeExecutable[b][i], parallel to cfg.blocks[b].succs.
     std::vector<std::vector<char>> edgeExecutable;
-    /// Per instruction; meaningful at conditional branches (kUnreachable
-    /// elsewhere).  Includes the dominating-branch sharpening.
-    std::vector<BranchDirection> branchDir;
-    /// Value of the tested def at each conditional branch (after the
-    /// dominating-branch meet); bottom elsewhere.
-    std::vector<AbsValue> condAtBranch;
 
     std::size_t iterations = 0;  ///< instruction/φ evaluations to fixpoint
     bool converged = true;
-
-    [[nodiscard]] BranchDirection directionAt(InstrIndex i) const {
-        return branchDir[i];
-    }
 };
 
-/// Run SCCP to fixpoint.  `doms`, `loops` and `ssa` must all come from
-/// `cfg`.
+/// Run SCCP to fixpoint.  `doms` and `ssa` must both come from `cfg`.
 [[nodiscard]] SccpResult runSccp(const Cfg& cfg, const DominatorTree& doms,
-                                 const LoopForest& loops, const SsaForm& ssa);
+                                 const SsaForm& ssa);
 
 }  // namespace asbr::analysis::ipa

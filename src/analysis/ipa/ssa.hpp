@@ -17,8 +17,8 @@
 // The result is a pure data structure: per-instruction operand/def links,
 // per-def use lists (the def–use chains SCCP's sparse worklist follows),
 // per-block φ lists with one argument per predecessor edge, and reaching
-// defs at block entry/exit (used by the φ-edge refinement and the
-// dominating-branch verdict sharpening in analysis/ipa/sccp.cpp).
+// defs at block entry/exit (used by the φ-edge refinement in
+// analysis/ipa/sccp.cpp).
 #pragma once
 
 #include <array>

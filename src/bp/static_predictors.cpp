@@ -1,30 +1,8 @@
 #include "bp/static_predictors.hpp"
 
-#include <algorithm>
-
 #include "bp/registry.hpp"
 
 namespace asbr {
-
-ProfiledStaticPredictor::ProfiledStaticPredictor(std::vector<Entry> entries)
-    : entries_(std::move(entries)) {
-    std::sort(entries_.begin(), entries_.end(),
-              [](const Entry& a, const Entry& b) { return a.pc < b.pc; });
-}
-
-Prediction ProfiledStaticPredictor::predict(std::uint32_t pc) {
-    const auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), pc,
-        [](const Entry& e, std::uint32_t key) { return e.pc < key; });
-    if (it == entries_.end() || it->pc != pc) return {};
-    if (!it->taken) return {};
-    return {true, it->target};
-}
-
-std::uint64_t ProfiledStaticPredictor::storageBits() const {
-    // pc tag (30) + direction (1) + target (30) per entry.
-    return entries_.size() * 61ull;
-}
 
 std::unique_ptr<BranchPredictor> makeNotTaken() {
     return std::make_unique<NotTakenPredictor>();

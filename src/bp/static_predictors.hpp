@@ -1,6 +1,5 @@
-// Stateless / profile-directed predictor family: not-taken, always-taken
-// and the profile-directed static predictor.  Registry tokens: `not-taken`,
-// `taken` (docs/predictors.md).
+// Stateless predictor family: not-taken and always-taken.  Registry
+// tokens: `not-taken`, `taken` (docs/predictors.md).
 #pragma once
 
 #include <memory>
@@ -40,28 +39,6 @@ public:
 
 private:
     Btb btb_;
-};
-
-/// Profile-directed static predictor: a fixed most-likely direction (and
-/// statically-known target) per branch PC — models compile-time static
-/// prediction [Young & Smith 99] as an extension baseline.  Not registry-
-/// constructible: it needs a profile, not a token.
-class ProfiledStaticPredictor final : public BranchPredictor {
-public:
-    struct Entry {
-        std::uint32_t pc = 0;
-        bool taken = false;
-        std::uint32_t target = 0;
-    };
-    explicit ProfiledStaticPredictor(std::vector<Entry> entries);
-    [[nodiscard]] std::string name() const override { return "profiled static"; }
-    Prediction predict(std::uint32_t pc) override;
-    void update(std::uint32_t, bool, std::uint32_t) override {}
-    void reset() override {}
-    [[nodiscard]] std::uint64_t storageBits() const override;
-
-private:
-    std::vector<Entry> entries_;  // sorted by pc
 };
 
 [[nodiscard]] std::unique_ptr<BranchPredictor> makeNotTaken();

@@ -80,10 +80,6 @@ std::uint64_t TournamentPredictor::storageBits() const {
            historyBits_ + btb_.storageBits();
 }
 
-std::unique_ptr<BranchPredictor> makeTournament2048() {
-    return std::make_unique<TournamentPredictor>(2048, 2048, 11, 2048);
-}
-
 namespace {
 
 std::unique_ptr<BranchPredictor> parseTournament(const std::string& params,

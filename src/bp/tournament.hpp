@@ -37,8 +37,6 @@ private:
     Btb btb_;
 };
 
-[[nodiscard]] std::unique_ptr<BranchPredictor> makeTournament2048();
-
 /// Register `tournament` (called once from PredictorRegistry::instance()).
 void registerTournamentFamily(PredictorRegistry& registry);
 

@@ -214,8 +214,4 @@ const SchemaSpec kAnalysisReportSpec{
          }},
     }};
 
-ReportValidation validateAnalysisReportJson(const JsonValue& doc) {
-    return validate(doc, kAnalysisReportSpec);
-}
-
 }  // namespace asbr

@@ -34,8 +34,8 @@ struct AnalysisReportMeta {
     const analysis::FoldLegalityVerifier& verifier,
     const analysis::VerifyConfig& config);
 
-/// The schema's field table (docs/metrics.md) and its validator.
+/// The schema's field table (docs/metrics.md); check a document with
+/// `validate(doc, kAnalysisReportSpec)`.
 extern const SchemaSpec kAnalysisReportSpec;
-[[nodiscard]] ReportValidation validateAnalysisReportJson(const JsonValue& doc);
 
 }  // namespace asbr

@@ -67,13 +67,6 @@ JsonValue ipaReportJson(const IpaReportMeta& meta,
         "sccp_iterations",
         static_cast<std::uint64_t>(ipa.stats.sccpIterations));
     pipeline.emplace_back("sccp_converged", ipa.stats.sccpConverged);
-    pipeline.emplace_back("dense_decided",
-                          static_cast<std::uint64_t>(ipa.stats.denseDecided));
-    pipeline.emplace_back("sccp_decided",
-                          static_cast<std::uint64_t>(ipa.stats.sccpDecided));
-    pipeline.emplace_back(
-        "merged_decided",
-        static_cast<std::uint64_t>(ipa.stats.mergedDecided));
     doc.emplace_back("pipeline", JsonValue(std::move(pipeline)));
 
     JsonObject resolution;
@@ -169,9 +162,6 @@ const SchemaSpec kIpaReportSpec{
         {"pipeline/ssa_uses", kCount},
         {"pipeline/sccp_iterations", kCount},
         {"pipeline/sccp_converged", kBool},
-        {"pipeline/dense_decided", kCount},
-        {"pipeline/sccp_decided", kCount},
-        {"pipeline/merged_decided", kCount},
         {"resolution", kObject},
         {"resolution/resolved_calls", kCount},
         {"resolution/resolved_gotos", kCount},
@@ -210,12 +200,6 @@ const SchemaSpec kIpaReportSpec{
         {"wcet/reason", kString},
     },
     {
-        // The reduced product can only add decided branches.
-        {"pipeline.merged_decided >= pipeline.dense_decided",
-         [](const JsonValue& d) {
-             return countAt(d, "pipeline/merged_decided") >=
-                    countAt(d, "pipeline/dense_decided");
-         }},
         {"resolution call/goto counts == the sites array",
          [](const JsonValue& d) {
              const JsonArray& sites = itemsAt(d, "resolution/sites");
@@ -234,9 +218,5 @@ const SchemaSpec kIpaReportSpec{
                     countAt(d, "callgraph/edges") == edges;
          }},
     }};
-
-ReportValidation validateIpaReportJson(const JsonValue& doc) {
-    return validate(doc, kIpaReportSpec);
-}
 
 }  // namespace asbr

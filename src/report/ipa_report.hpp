@@ -34,8 +34,8 @@ struct IpaReportMeta {
 [[nodiscard]] JsonValue ipaReportJson(
     const IpaReportMeta& meta, const analysis::FoldLegalityVerifier& verifier);
 
-/// The schema's field table (docs/metrics.md) and its validator.
+/// The schema's field table (docs/metrics.md); check a document with
+/// `validate(doc, kIpaReportSpec)`.
 extern const SchemaSpec kIpaReportSpec;
-[[nodiscard]] ReportValidation validateIpaReportJson(const JsonValue& doc);
 
 }  // namespace asbr

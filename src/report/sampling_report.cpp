@@ -190,8 +190,4 @@ const SchemaSpec kSamplingReportSpec{
          }},
     }};
 
-ReportValidation validateSamplingReportJson(const JsonValue& doc) {
-    return validate(doc, kSamplingReportSpec);
-}
-
 }  // namespace asbr

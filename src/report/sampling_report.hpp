@@ -34,8 +34,8 @@ struct SamplingReference {
     const SampledResult& result,
     const std::optional<SamplingReference>& reference = std::nullopt);
 
-/// The schema's field table (docs/metrics.md) and its validator.
+/// The schema's field table (docs/metrics.md); check a document with
+/// `validate(doc, kSamplingReportSpec)`.
 extern const SchemaSpec kSamplingReportSpec;
-[[nodiscard]] ReportValidation validateSamplingReportJson(const JsonValue& doc);
 
 }  // namespace asbr

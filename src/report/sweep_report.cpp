@@ -76,8 +76,4 @@ const SchemaSpec kSweepReportSpec{
          }},
     }};
 
-ReportValidation validateSweepReportJson(const JsonValue& doc) {
-    return validate(doc, kSweepReportSpec);
-}
-
 }  // namespace asbr

@@ -52,8 +52,8 @@ struct SweepCell {
                                         JsonValue options,
                                         const std::vector<SweepCell>& cells);
 
-/// The schema's field table (docs/metrics.md) and its validator.
+/// The schema's field table (docs/metrics.md); check a document with
+/// `validate(doc, kSweepReportSpec)`.
 extern const SchemaSpec kSweepReportSpec;
-[[nodiscard]] ReportValidation validateSweepReportJson(const JsonValue& doc);
 
 }  // namespace asbr

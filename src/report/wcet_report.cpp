@@ -251,8 +251,4 @@ const SchemaSpec kWcetReportSpec{
          }},
     }};
 
-ReportValidation validateWcetReportJson(const JsonValue& doc) {
-    return validate(doc, kWcetReportSpec);
-}
-
 }  // namespace asbr

@@ -43,8 +43,8 @@ struct WcetReportMeta {
     const std::set<std::uint32_t>& foldedPcs,
     std::uint64_t measuredBaselineCycles, std::uint64_t measuredFoldedCycles);
 
-/// The schema's field table (docs/metrics.md) and its validator.
+/// The schema's field table (docs/metrics.md); check a document with
+/// `validate(doc, kWcetReportSpec)`.
 extern const SchemaSpec kWcetReportSpec;
-[[nodiscard]] ReportValidation validateWcetReportJson(const JsonValue& doc);
 
 }  // namespace asbr

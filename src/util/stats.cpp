@@ -1,35 +1,8 @@
 #include "util/stats.hpp"
 
-#include <cmath>
-
 #include "util/ensure.hpp"
 
 namespace asbr {
-
-double mean(std::span<const double> xs) {
-    if (xs.empty()) return 0.0;
-    double sum = 0.0;
-    for (double x : xs) sum += x;
-    return sum / static_cast<double>(xs.size());
-}
-
-double stddev(std::span<const double> xs) {
-    if (xs.size() < 2) return 0.0;
-    const double m = mean(xs);
-    double acc = 0.0;
-    for (double x : xs) acc += (x - m) * (x - m);
-    return std::sqrt(acc / static_cast<double>(xs.size()));
-}
-
-double geomean(std::span<const double> xs) {
-    if (xs.empty()) return 0.0;
-    double logSum = 0.0;
-    for (double x : xs) {
-        ASBR_ENSURE(x > 0.0, "geomean requires positive values");
-        logSum += std::log(x);
-    }
-    return std::exp(logSum / static_cast<double>(xs.size()));
-}
 
 double improvement(std::uint64_t before, std::uint64_t after) {
     ASBR_ENSURE(before > 0, "improvement requires positive baseline");

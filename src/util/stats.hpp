@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 namespace asbr {
 
@@ -21,15 +20,6 @@ struct Ratio {
         return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
     }
 };
-
-/// Arithmetic mean; 0 for an empty span.
-[[nodiscard]] double mean(std::span<const double> xs);
-
-/// Population standard deviation; 0 for spans of size < 2.
-[[nodiscard]] double stddev(std::span<const double> xs);
-
-/// Geometric mean of strictly positive values; 0 for an empty span.
-[[nodiscard]] double geomean(std::span<const double> xs);
 
 /// Relative improvement of `after` over `before` (positive = got faster),
 /// e.g. cycles dropping 100 -> 84 yields 0.16.

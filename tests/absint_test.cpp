@@ -284,6 +284,68 @@ cont:   bgtz s1, loop
     EXPECT_EQ(directionOf(a, 1), BranchDirection::kDynamic);
 }
 
+TEST(ValueAnalysisTest, DelayedWideningProvesLoopCarriedGuard) {
+    // ProgramGen(322 * 9973), verbatim.  t0 enters the loop as 0 and
+    // returns as t1 - 9 = -9, so `addiu t0, t0, 12` never yields 0 and the
+    // guard is always taken.  Widening the loop head on its first rise
+    // sends t0 to top; one plain join keeps it at [-9, 0].
+    const Analyzed a = analyze(R"(
+main:   li   s7, 0
+        li   s0, 7
+Loop0:
+        sll  t2, t0, 1
+        addiu t0, t0, 12
+        bnez t0, Ltrue1
+        sll  t3, t3, 0
+        lw   t1, scratch+40
+        j Lend1
+Ltrue1:
+        lw   t3, scratch+32
+        addiu t0, t1, -9
+Lend1:
+        addu s7, s7, t0
+        addiu s0, s0, -1
+        addiu t2, t2, 1
+        addiu t3, t3, 3
+        bnez s0, Loop0
+        move a0, s7
+        li v0, 3
+        sys
+        li a0, 0
+        li v0, 1
+        sys
+        .data
+scratch: .space 64
+)");
+    ASSERT_TRUE(isCondBranch(a.program.code[4].op));
+    EXPECT_TRUE(a.va.converged);
+    EXPECT_EQ(a.va.directionAt(4), BranchDirection::kAlwaysTaken);
+}
+
+TEST(ValueAnalysisTest, DelayedWideningOutlastsThreeRises) {
+    // Minimised from ProgramGen(2433 * 9973 + 1).withDispatch().  t1 is 8
+    // whenever the bltz runs, but the xor feeding t0 needs three plain
+    // joins at the loop head to settle: widening any sooner sends t0, t1
+    // and t3 to top and loses the never-taken verdict.
+    const Analyzed a = analyze(std::string(R"(
+main:   li   s0, 4
+loop:   bnez t0, skip
+        addiu t1, t3, 8
+        xor  t0, t0, t1
+        j    join
+skip:   nop
+join:   addiu t3, t0, -11
+        bltz t1, neg
+        addiu s1, s1, 1
+neg:    addiu s0, s0, -1
+        addiu t3, t3, 3
+        bnez s0, loop
+)") + kExit);
+    EXPECT_TRUE(a.va.converged);
+    EXPECT_EQ(directionOf(a, 1), BranchDirection::kNeverTaken);
+    EXPECT_EQ(directionOf(a, 0), BranchDirection::kDynamic);
+}
+
 TEST(ValueAnalysisTest, DeadArmAndUnreachableBlockAreLinted) {
     const Analyzed a = analyze(std::string(R"(
 main:   li   s0, 3
@@ -532,13 +594,13 @@ loop:   addiu s0, s0, -1
     meta.benchmark = "unit-test";
 
     const JsonValue doc = analysisReportJson(meta, verifier, config);
-    const ReportValidation valid = validateAnalysisReportJson(doc);
+    const ReportValidation valid = validate(doc, kAnalysisReportSpec);
     EXPECT_TRUE(valid.ok()) << (valid.errors.empty() ? "" : valid.errors[0]);
 
     // Serialized text parses back and still validates.
     const JsonParseResult parsed = parseJson(doc.dump(2));
     ASSERT_TRUE(parsed.ok()) << parsed.error;
-    EXPECT_TRUE(validateAnalysisReportJson(*parsed.value).ok());
+    EXPECT_TRUE(validate(*parsed.value, kAnalysisReportSpec).ok());
 
     // Summary invariants hold on this known program.
     const JsonValue* summary = doc.find("summary");
@@ -557,16 +619,17 @@ TEST(AnalysisReportTest, ValidatorRejectsTamperedDocuments) {
 
     JsonValue bad = doc;
     bad.set("schema", JsonValue("asbr.other"));
-    EXPECT_FALSE(validateAnalysisReportJson(bad).ok());
+    EXPECT_FALSE(validate(bad, kAnalysisReportSpec).ok());
 
     JsonValue badSummary = doc;
     JsonObject s = badSummary.find("summary")->asObject();
     for (auto& [k, v] : s)
         if (k == "statically_decided") v = JsonValue(std::uint64_t{99});
     badSummary.set("summary", JsonValue(std::move(s)));
-    EXPECT_FALSE(validateAnalysisReportJson(badSummary).ok());
+    EXPECT_FALSE(validate(badSummary, kAnalysisReportSpec).ok());
 
-    EXPECT_FALSE(validateAnalysisReportJson(JsonValue("not an object")).ok());
+    EXPECT_FALSE(
+        validate(JsonValue("not an object"), kAnalysisReportSpec).ok());
 }
 
 }  // namespace

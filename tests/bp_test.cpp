@@ -4,6 +4,7 @@
 #include "bp/predictor.hpp"
 #include "bp/bimodal.hpp"
 #include "bp/gshare.hpp"
+#include "bp/registry.hpp"
 #include "bp/tournament.hpp"
 #include "bp/static_predictors.hpp"
 #include "util/rng.hpp"
@@ -175,17 +176,8 @@ TEST(TournamentTest, ResetAndStorage) {
     // Three 2-bit tables + history + BTB: bigger than bimodal, comparable
     // order to gshare.
     EXPECT_GT(p.storageBits(), makeBimodal2048()->storageBits());
-    EXPECT_EQ(makeTournament2048()->name(), "tournament-2048/btb-2048");
-}
-
-TEST(ProfiledStaticTest, FixedDirections) {
-    ProfiledStaticPredictor p({{0x1000, true, 0x2000}, {0x1010, false, 0}});
-    EXPECT_TRUE(p.predict(0x1000).effectiveTaken());
-    EXPECT_EQ(p.predict(0x1000).target, 0x2000u);
-    EXPECT_FALSE(p.predict(0x1010).taken);
-    EXPECT_FALSE(p.predict(0x9999).taken);  // unknown pc
-    p.update(0x1000, false, 0);             // training is a no-op
-    EXPECT_TRUE(p.predict(0x1000).taken);
+    EXPECT_EQ(PredictorRegistry::instance().make("tournament")->name(),
+              "tournament-2048/btb-2048");
 }
 
 TEST(FactoryTest, PaperConfigurations) {

@@ -167,7 +167,7 @@ TEST(DriverDeterminism, SweepReportBytesIdenticalAcrossThreadCounts) {
 
     const JsonParseResult parsed = parseJson(s1);
     ASSERT_TRUE(parsed.ok()) << parsed.error;
-    EXPECT_TRUE(validateSweepReportJson(*parsed.value).ok());
+    EXPECT_TRUE(validate(*parsed.value, kSweepReportSpec).ok());
 }
 
 TEST(DriverDeterminism, SampledSweepCellsMatchTheirOwnRuns) {
@@ -249,12 +249,13 @@ TEST(RunSharing, TwinCellsShareOneRunAndKeepTheirOwnReports) {
     // Each distinct machine simulates once per batch, at any thread count,
     // and every cell's report is byte-identical to the report the cell gets
     // alone on a fresh engine: its own BIT capacity and storage included.
+    // The reference cells are independent, so they run on four workers.
     const std::vector<SimJob> jobs = twinGrid();
-    std::vector<std::string> alone;
-    for (const SimJob& job : jobs) {
+    std::vector<std::string> alone(jobs.size());
+    parallelFor(jobs.size(), 4, [&](std::size_t i) {
         SimEngine fresh;
-        alone.push_back(simReportJson(fresh.runOne(job).report).dump(2));
-    }
+        alone[i] = simReportJson(fresh.runOne(jobs[i]).report).dump(2);
+    });
     for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
         SimEngine engine({.threads = threads});
         const std::vector<JobResult> results = engine.run(jobs);

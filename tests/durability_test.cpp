@@ -327,7 +327,7 @@ TEST(DurableRun, PersistentFailureQuarantinesWithoutAborting) {
     const std::string doc = sweepDocBytes(outcome);
     const JsonParseResult parsed = parseJson(doc);
     ASSERT_TRUE(parsed.ok()) << parsed.error;
-    EXPECT_TRUE(validateSweepReportJson(*parsed.value).ok());
+    EXPECT_TRUE(validate(*parsed.value, kSweepReportSpec).ok());
     const JsonValue* failedJobs = parsed.value->find("failed_jobs");
     ASSERT_NE(failedJobs, nullptr);
     ASSERT_EQ(failedJobs->asArray().size(), 1u);

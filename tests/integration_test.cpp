@@ -8,7 +8,6 @@
 #include "asbr/extract.hpp"
 #include "bp/predictor.hpp"
 #include "bp/bimodal.hpp"
-#include "bp/static_predictors.hpp"
 #include "cc/compile.hpp"
 #include "mem/memory.hpp"
 #include "profile/profiler.hpp"
@@ -249,44 +248,6 @@ int main() {
     EXPECT_EQ(smallRun.output, bigRun.output);
     EXPECT_LT(smallRun.stats.cycles, bigRun.stats.cycles);
     EXPECT_LT(small->storageBits() + unit.storageBits(), big->storageBits());
-}
-
-// mcc + scheduling + ASBR with the ProfiledStaticPredictor as auxiliary —
-// exercising the static-prediction extension point.
-TEST(IntegrationTest, ProfiledStaticAuxiliaryPredictor) {
-    const cc::Compiled compiled = cc::compile(R"(
-int total;
-int main() {
-    for (int i = 0; i < 5000; i++) {
-        int v = (i * 17) % 9;
-        if (v > 4) total += v;
-        else total -= 1;
-    }
-    __putint(total);
-    return 0;
-}
-)");
-    const Program& p = compiled.program;
-
-    // Build the static predictor from a profile (most-likely direction).
-    Memory profMem;
-    profMem.loadProgram(p);
-    const ProgramProfile profile = profileProgram(p, profMem);
-    std::vector<ProfiledStaticPredictor::Entry> entries;
-    for (const auto& [pc, bp] : profile.branches) {
-        const Instruction& ins = p.at(pc);
-        const std::uint32_t target =
-            pc + kInstrBytes + static_cast<std::uint32_t>(ins.imm) * kInstrBytes;
-        entries.push_back({pc, bp.takenRate() > 0.5, target});
-    }
-    ProfiledStaticPredictor staticPredictor(entries);
-    const PipelineResult r = runPipe(p, staticPredictor);
-
-    auto notTaken = makeNotTaken();
-    const PipelineResult nt = runPipe(p, *notTaken);
-    EXPECT_EQ(r.output, nt.output);
-    // Profile-directed static prediction beats always-not-taken here.
-    EXPECT_LT(r.stats.cycles, nt.stats.cycles);
 }
 
 // The static fold class end to end on a real workload: G.721 encode carries

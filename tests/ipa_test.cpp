@@ -1,12 +1,12 @@
 // Tests for the interprocedural analysis engine (analysis/ipa): SSA
-// construction (dominance frontiers, pruned φ placement, renaming), SCCP
-// precision relative to the dense fixpoint, value-set resolution of
+// construction (dominance frontiers, pruned φ placement, renaming), the
+// branch verdicts the pipeline publishes, value-set resolution of
 // dispatch-table jalr calls, call-graph summaries, and — the load-bearing
 // part — soundness of the whole pipeline against the functional ISS: every
-// observed indirect-jump target must lie inside the predicted value set,
-// and no observed branch outcome may contradict a static direction
-// verdict.  Runs on all six paper workloads plus randomly generated
-// dispatch programs.
+// observed indirect-jump target must lie inside the predicted value set, no
+// observed branch outcome may contradict a static direction verdict, and
+// every tested value lies inside the branch's published interval.  Runs on
+// all six paper workloads plus randomly generated dispatch programs.
 //
 // Also covers the dominator/loop-forest behaviour on irreducible and
 // self-loop CFGs, asserting the WCET engine's `irreducible` failure reason
@@ -71,6 +71,8 @@ struct IssObservations {
     std::map<std::uint32_t, std::set<std::uint32_t>> indirectTargets;
     std::map<std::uint32_t, bool> branchTaken;     ///< pc -> seen taken
     std::map<std::uint32_t, bool> branchNotTaken;  ///< pc -> seen not taken
+    /// pc -> every value the branch's tested register held when it ran.
+    std::map<std::uint32_t, std::set<std::int32_t>> branchValues;
     std::set<std::uint32_t> executedPcs;
 };
 
@@ -88,6 +90,9 @@ IssObservations observe(const Program& program, Memory& memory) {
                 obs.branchTaken[r.pc] = true;
             else
                 obs.branchNotTaken[r.pc] = true;
+            // A branch writes no register, so the post-step state still
+            // holds the value it tested.
+            obs.branchValues[r.pc].insert(sim.state().reg(ins.rs));
         }
     });
     const FunctionalResult result = sim.run();
@@ -99,7 +104,9 @@ IssObservations observe(const Program& program, Memory& memory) {
 /// The soundness contract between one IPA run and one ISS run:
 ///  - an observed indirect target at a *resolved* site must be predicted;
 ///  - AlwaysTaken forbids an observed fall-through, NeverTaken an observed
-///    taken, kUnreachable any execution at all.
+///    taken, kUnreachable any execution at all;
+///  - every tested value lies inside the branch's `condAtBranch` interval,
+///    which the analysis report prints and the dead-arm lint quotes.
 void checkSoundness(const ipa::IpaAnalysis& ipaResult,
                     const IssObservations& obs, const std::string& label) {
     const Cfg& cfg = ipaResult.cfg;
@@ -139,6 +146,13 @@ void checkSoundness(const ipa::IpaAnalysis& ipaResult,
             case BranchDirection::kDynamic:
                 break;
         }
+        const auto seen = obs.branchValues.find(pc);
+        if (seen == obs.branchValues.end()) continue;
+        const analysis::AbsValue& cond = ipaResult.values.condAtBranch[i];
+        for (const std::int32_t v : seen->second)
+            EXPECT_TRUE(cond.containsValue(v))
+                << label << ": branch at 0x" << std::hex << pc << " tested "
+                << std::dec << v << ", outside its interval " << cond.str();
     }
 }
 
@@ -243,7 +257,7 @@ main:   addu s0, t3, t3
     EXPECT_FALSE(ssa.defs[ssa.entryDef[t3]].uses.empty());
 }
 
-// ----------------------------------------------------------------- SCCP ----
+// ------------------------------------------------------- branch verdicts ----
 
 TEST(SccpTest, ProvesConstantGuardAlwaysTaken) {
     const Program p = assemble(std::string(R"(
@@ -257,15 +271,14 @@ LT:     move s2, s0
     const ipa::IpaAnalysis result = ipa::analyzeProgram(p);
     const InstrIndex branch = 3;
     ASSERT_TRUE(isCondBranch(p.code[branch].op));
-    EXPECT_EQ(result.sccp.directionAt(branch), BranchDirection::kAlwaysTaken);
     EXPECT_EQ(result.values.directionAt(branch),
               BranchDirection::kAlwaysTaken);
 }
 
 TEST(SccpTest, DominatingBranchSharpensRepeatedTest) {
     // The second beqz re-tests a register a dominating branch already
-    // decided: pure SSA constant propagation cannot see it, the
-    // dominating-edge meet must.
+    // decided: pure SSA constant propagation cannot see it, the refined
+    // state the first branch's fall-through edge carries must.
     const Program p = assemble(std::string(R"(
 main:   lw   s0, sel
         beqz s0, LZ
@@ -280,32 +293,8 @@ sel:    .word 0
     const ipa::IpaAnalysis result = ipa::analyzeProgram(p);
     const InstrIndex second = 3;
     ASSERT_TRUE(isCondBranch(p.code[second].op));
-    EXPECT_EQ(result.sccp.directionAt(second), BranchDirection::kNeverTaken)
+    EXPECT_EQ(result.values.directionAt(second), BranchDirection::kNeverTaken)
         << "on the fall-through of the first beqz, s0 is provably nonzero";
-}
-
-TEST(SccpTest, MergedVerdictsNeverBelowDenseOnAllWorkloads) {
-    for (const BenchId id :
-         {BenchId::kAdpcmEncode, BenchId::kAdpcmDecode, BenchId::kG721Encode,
-          BenchId::kG721Decode, BenchId::kG711Encode, BenchId::kG711Decode}) {
-        const Program p = buildBench(id);
-        const ipa::IpaAnalysis result = ipa::analyzeProgram(p);
-        EXPECT_TRUE(result.sccp.converged);
-        EXPECT_GE(result.stats.mergedDecided, result.stats.denseDecided)
-            << "reduced product lost verdicts on bench "
-            << static_cast<int>(id);
-        // Per-branch: a dense decision survives the merge (or strengthens
-        // to unreachable); it never flips to the opposite direction.
-        for (InstrIndex i = 0; i < p.code.size(); ++i) {
-            if (!isCondBranch(p.code[i].op)) continue;
-            const BranchDirection dense = result.denseDir[i];
-            const BranchDirection merged = result.values.directionAt(i);
-            if (dense == BranchDirection::kDynamic) continue;
-            EXPECT_TRUE(merged == dense ||
-                        merged == BranchDirection::kUnreachable)
-                << "merge weakened or flipped a dense verdict at instr " << i;
-        }
-    }
 }
 
 // ------------------------------------------------------------ value sets ----
@@ -554,6 +543,7 @@ TEST(SoundnessTest, IssAgreesWithStaticClaimsOnAllWorkloads) {
         Memory memory = driver::makeMemory(prepared);
         const IssObservations obs = observe(prepared.program, memory);
         const ipa::IpaAnalysis result = ipa::analyzeProgram(prepared.program);
+        EXPECT_TRUE(result.sccp.converged);
         checkSoundness(result, obs,
                        "bench " + std::to_string(static_cast<int>(id)));
     }
@@ -585,14 +575,14 @@ TEST(IpaReportTest, SchemaRoundTripAndByteStability) {
     const analysis::FoldLegalityVerifier verifier(p);
     const IpaReportMeta meta{"dispatch-test"};
     const JsonValue doc = ipaReportJson(meta, verifier);
-    const ReportValidation validation = validateIpaReportJson(doc);
+    const ReportValidation validation = validate(doc, kIpaReportSpec);
     EXPECT_TRUE(validation.ok()) << (validation.errors.empty()
                                          ? ""
                                          : validation.errors.front());
     EXPECT_EQ(doc.dump(2), ipaReportJson(meta, verifier).dump(2));
 
     // A non-object document must be rejected outright.
-    EXPECT_FALSE(validateIpaReportJson(JsonValue("not an object")).ok());
+    EXPECT_FALSE(validate(JsonValue("not an object"), kIpaReportSpec).ok());
 }
 
 }  // namespace

@@ -366,7 +366,7 @@ TEST(SamplingTest, ReportValidatesAndCatchesTampering) {
     const std::string doc = sampledReports(1).front();
     const JsonParseResult parsed = parseJson(doc);
     ASSERT_TRUE(parsed.ok());
-    EXPECT_TRUE(validateSamplingReportJson(*parsed.value).ok());
+    EXPECT_TRUE(validate(*parsed.value, kSamplingReportSpec).ok());
 
     // An edited error verdict must be caught: within_bound is recomputed
     // from the integer fields by the validator.
@@ -377,7 +377,7 @@ TEST(SamplingTest, ReportValidatesAndCatchesTampering) {
     flipped.replace(at, key.size(), "\"within_bound\": false");
     const JsonParseResult reparsed = parseJson(flipped);
     ASSERT_TRUE(reparsed.ok());
-    EXPECT_FALSE(validateSamplingReportJson(*reparsed.value).ok());
+    EXPECT_FALSE(validate(*reparsed.value, kSamplingReportSpec).ok());
 
     std::string badVersion = doc;
     const std::string ver = "\"version\": 1";
@@ -386,7 +386,7 @@ TEST(SamplingTest, ReportValidatesAndCatchesTampering) {
     badVersion.replace(vat, ver.size(), "\"version\": 99");
     const JsonParseResult reparsed2 = parseJson(badVersion);
     ASSERT_TRUE(reparsed2.ok());
-    EXPECT_FALSE(validateSamplingReportJson(*reparsed2.value).ok());
+    EXPECT_FALSE(validate(*reparsed2.value, kSamplingReportSpec).ok());
 }
 
 // ------------------------------------------------- fast-forward log replay --

@@ -65,19 +65,6 @@ TEST(StatsTest, RatioBasics) {
     EXPECT_NEAR(r.value(), 2.0 / 3.0, 1e-12);
 }
 
-TEST(StatsTest, MeanStddevGeomean) {
-    const double xs[] = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-    EXPECT_DOUBLE_EQ(mean(xs), 5.0);
-    EXPECT_DOUBLE_EQ(stddev(xs), 2.0);
-    const double gs[] = {1.0, 4.0, 16.0};
-    EXPECT_NEAR(geomean(gs), 4.0, 1e-12);
-    EXPECT_DOUBLE_EQ(mean({}), 0.0);
-    EXPECT_DOUBLE_EQ(stddev({}), 0.0);
-    EXPECT_DOUBLE_EQ(geomean({}), 0.0);
-    const double bad[] = {1.0, -1.0};
-    EXPECT_THROW((void)geomean(bad), EnsureError);
-}
-
 TEST(StatsTest, Improvement) {
     EXPECT_DOUBLE_EQ(improvement(100, 84), 0.16);
     EXPECT_DOUBLE_EQ(improvement(100, 100), 0.0);

@@ -345,14 +345,14 @@ JsonValue& member(JsonValue& object, const std::string& key) {
 
 /// True when validation fails on exactly the named invariant.
 bool violates(const JsonValue& doc, const std::string& rule) {
-    const ReportValidation v = validateWcetReportJson(doc);
+    const ReportValidation v = validate(doc, kWcetReportSpec);
     return v.errors.size() == 1 &&
            v.errors.front().find(rule) != std::string::npos;
 }
 
 TEST(WcetReportTest, SummaryCountsMustMatchLoopSources) {
     JsonValue doc = countdownReport();
-    ASSERT_TRUE(validateWcetReportJson(doc).ok());
+    ASSERT_TRUE(validate(doc, kWcetReportSpec).ok());
     ASSERT_EQ(member(member(doc, "loops").asArray()[0], "source").asString(),
               "inferred");
     // Same loop total and the same bounded/unbounded split, but the loop is
@@ -365,7 +365,7 @@ TEST(WcetReportTest, SummaryCountsMustMatchLoopSources) {
 
 TEST(WcetReportTest, LoopIsBoundedExactlyWhenSourced) {
     JsonValue doc = countdownReport();
-    ASSERT_TRUE(validateWcetReportJson(doc).ok());
+    ASSERT_TRUE(validate(doc, kWcetReportSpec).ok());
     // Unbounded per the flag and the summary, yet its bound has a source.
     member(member(doc, "loops").asArray()[0], "bounded") = JsonValue(false);
     member(member(doc, "summary"), "loops_unbounded") =

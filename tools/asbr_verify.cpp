@@ -616,13 +616,11 @@ int cmdIpa(int argc, char** argv) {
             std::fprintf(
                 stderr,
                 "asbr-verify ipa: %zu round(s), %zu defs (%zu phis), "
-                "%zu/%zu indirect sites resolved, %zu functions, "
-                "%zu decided branches (dense %zu)\n",
+                "%zu/%zu indirect sites resolved, %zu functions\n",
                 ipa.stats.rounds, ipa.stats.ssaDefs, ipa.stats.ssaPhis,
                 ipa.resolution.map.size(),
                 ipa.resolution.map.size() + ipa.resolution.unresolvedSites,
-                ipa.callGraph.functions.size(), ipa.stats.mergedDecided,
-                ipa.stats.denseDecided);
+                ipa.callGraph.functions.size());
         }
         return 0;
     } catch (const std::exception& e) {
