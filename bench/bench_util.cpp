@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "util/ensure.hpp"
-
 namespace asbr::bench {
 
 Options parseOptions(int argc, char** argv) {
@@ -13,7 +11,6 @@ Options parseOptions(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (driver::consumeSharedOption(arg, options, error)) {
-            if (!error.empty()) driver::cliFail(argv[0], error);
         } else if (arg == "--help" || arg == "-h") {
             std::printf("options: %s --csv\n"
                         "(--journal=DIR / --resume apply to asbr-sweep and "
@@ -21,16 +18,13 @@ Options parseOptions(int argc, char** argv) {
                         driver::sharedOptionsHelp());
             std::exit(0);
         } else {
-            driver::cliFail(argv[0],
-                            "unknown option '" + arg + "' (try --help)");
+            error = "unknown option '" + arg + "' (try --help)";
         }
+        if (!error.empty()) driver::cliFail(argv[0], error);
     }
     // The table regenerators have no journal; rejecting the flag beats
     // silently dropping a persistence request.
-    if (!options.journalDir.empty() || options.resume)
-        driver::cliFail(argv[0],
-                        "--journal/--resume apply to asbr-sweep and "
-                        "asbr-faults campaign (docs/robustness.md)");
+    driver::checkJournalFlags(argv[0], options, false);
     return options;
 }
 
@@ -80,18 +74,9 @@ std::string ReportSink::write() const {
     optionsJson.emplace_back("seed", options_.seed);
     const JsonValue doc =
         benchReportJson(generator_, JsonValue(std::move(optionsJson)), runs_);
-    std::string text = doc.dump(2);
-    text += '\n';
-    if (options_.jsonPath == "-") {
-        std::fputs(text.c_str(), stdout);
-    } else {
-        std::FILE* f = std::fopen(options_.jsonPath.c_str(), "w");
-        ASBR_ENSURE(f != nullptr, "cannot open --json output file");
-        std::fputs(text.c_str(), f);
-        std::fclose(f);
-        std::fprintf(stderr, "wrote %zu run report(s) to %s\n", runs_.size(),
-                     options_.jsonPath.c_str());
-    }
+    std::string text = doc.dump(2) + "\n";
+    driver::writeOutput(options_.jsonPath, text,
+                        std::to_string(runs_.size()) + " run report(s)");
     return text;
 }
 

@@ -73,8 +73,9 @@ public:
     /// Record one finished run.
     void add(const JobResult& result);
 
-    /// Write the document (no-op without --json).  Returns the serialized
-    /// text so callers/tests can reuse it.
+    /// Write the document through driver::writeOutput (no-op without
+    /// --json; a failed write throws).  Returns the serialized text so
+    /// callers/tests can reuse it.
     std::string write() const;
 
     [[nodiscard]] std::size_t runCount() const { return runs_.size(); }

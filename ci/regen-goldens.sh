@@ -1,88 +1,19 @@
 #!/usr/bin/env bash
 # Regenerate every committed golden report in tests/golden/ in one
 # deterministic pass — the single intentional-change workflow the CI gates
-# (ci/verify-workloads.sh, ci/faults.sh) point at.  Each family is produced
-# with exactly the flags its gate replays, so a clean regen immediately
-# re-passes CI:
+# point at.  Each gate owns its golden commands and regenerates them with
+# `--regen`, so a clean regen immediately re-passes CI:
 #
-#   analysis_*  asbr-verify analyze          (purely static)
-#   wcet_*      asbr-verify wcet             (pinned seed/samples)
-#   ipa_*       asbr-verify ipa              (purely static)
-#   sampling_*  asbr-stats run --sample      (pinned window geometry)
-#   sweep_*     asbr-sweep --predictors      (registry token path)
-#   fault_*     asbr-faults campaign         (pinned fault seeds)
+#   analysis_*, wcet_*, ipa_*,   ci/verify-workloads.sh --regen
+#   sampling_*, sweep_*
+#   fault_*                      ci/faults.sh --regen
 #
 # Every document is schema-validated before it replaces the golden.  Run
 # from anywhere; requires a completed `cmake --build build`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-BUILD_DIR=${BUILD_DIR:-build}
-VERIFY="$BUILD_DIR/tools/asbr-verify"
-STATS="$BUILD_DIR/tools/asbr-stats"
-GOLDEN_DIR=tests/golden
-
-for tool in "$VERIFY" "$STATS"; do
-    if [[ ! -x "$tool" ]]; then
-        echo "ci/regen-goldens.sh: $tool not built; run cmake --build first" >&2
-        exit 1
-    fi
-done
-
-tmpdir=$(mktemp -d)
-trap 'rm -rf "$tmpdir"' EXIT
-
-# Generate into a temp file, schema-validate, then install — a crash or a
-# validation failure must never leave a half-written golden behind.
-install_golden() {
-    local out=$1 golden=$2
-    "$STATS" validate "$out" > /dev/null
-    cp "$out" "$GOLDEN_DIR/$golden"
-    echo "regenerated $GOLDEN_DIR/$golden"
-}
-
-# -------------------------------------------------------------- analysis ----
-for bench in adpcm-enc g721-enc; do
-    golden="analysis_${bench//-/_}.json"
-    "$VERIFY" analyze --bench="$bench" --out="$tmpdir/$golden" --quiet \
-        2> /dev/null
-    install_golden "$tmpdir/$golden" "$golden"
-done
-
-# ------------------------------------------------------------------ wcet ----
-for bench in adpcm-enc g721-enc; do
-    golden="wcet_${bench//-/_}.json"
-    "$VERIFY" wcet --bench="$bench" --samples=256 --seed=2001 \
-        --out="$tmpdir/$golden" --quiet 2> /dev/null
-    install_golden "$tmpdir/$golden" "$golden"
-done
-
-# ------------------------------------------------------------------- ipa ----
-for bench in adpcm-enc g721-enc; do
-    golden="ipa_${bench//-/_}.json"
-    "$VERIFY" ipa --bench="$bench" --out="$tmpdir/$golden" --quiet \
-        2> /dev/null
-    install_golden "$tmpdir/$golden" "$golden"
-done
-"$VERIFY" ipa tests/fixtures/jalr_dispatch.s \
-    --out="$tmpdir/ipa_jalr_dispatch.json" --quiet 2> /dev/null
-install_golden "$tmpdir/ipa_jalr_dispatch.json" "ipa_jalr_dispatch.json"
-
-# -------------------------------------------------------------- sampling ----
-"$STATS" run --bench=adpcm-enc --quick --sample=2000:10000:60000 \
-    --sample-ref --asbr --json="$tmpdir/sampling_adpcm_enc.json" > /dev/null
-install_golden "$tmpdir/sampling_adpcm_enc.json" "sampling_adpcm_enc.json"
-
-# ------------------------------------------------------- predictor sweep ----
-SWEEP="$BUILD_DIR/tools/asbr-sweep"
-"$SWEEP" --quick --workloads=adpcm-enc --predictors=bimodal,tage,perceptron \
-    --bits=4 --baseline --threads=2 \
-    --json="$tmpdir/sweep_predictors.json" > /dev/null
-install_golden "$tmpdir/sweep_predictors.json" "sweep_predictors.json"
-
-# ----------------------------------------------------------------- fault ----
-# ci/faults.sh owns the campaign flag sets; its --regen mode validates each
-# report before installing it, same as install_golden above.
+ci/verify-workloads.sh --regen
 ci/faults.sh --regen
 
 echo "ci/regen-goldens.sh: all golden families regenerated"

@@ -1,118 +1,106 @@
 #!/usr/bin/env bash
-# CI gate: run the static fold-legality linter over hand-written fixtures.
-# An Illegal verdict (or BIT conflict / BranchInfo inconsistency) makes
-# asbr-verify exit nonzero, which fails this script for the *legal* fixtures
-# and is required for the illegal one.
+# CI gate for the static tools and the committed golden reports:
+#
+#   1. fixture lints: asbr-verify must verify every legal fixture in
+#      tests/fixtures/ clean and flag every illegal_* one (an Illegal
+#      verdict, BIT conflict or BranchInfo inconsistency exits nonzero);
+#   2. golden reports: the command of every GOLDENS entry below must
+#      produce a schema-valid document that reproduces its committed file in
+#      tests/golden/ byte for byte;
+#   3. the jalr dispatch fixture must stay resolved and WCET-bounded;
+#   4. ci/faults.sh (fault-campaign goldens) and ci/resume.sh (crash safety).
+#
+# `ci/verify-workloads.sh --regen` runs steps 2-3 only and installs each
+# validated document over its golden instead of diffing it — the way
+# ci/regen-goldens.sh regenerates these families after an intentional change.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 VERIFY="$BUILD_DIR/tools/asbr-verify"
+STATS="$BUILD_DIR/tools/asbr-stats"
+GOLDEN_DIR=tests/golden
 
-if [[ ! -x "$VERIFY" ]]; then
-    echo "ci/verify-workloads.sh: $VERIFY not built; run cmake --build first" >&2
-    exit 1
-fi
+for tool in "$VERIFY" "$STATS" "$BUILD_DIR/tools/asbr-sweep"; do
+    if [[ ! -x "$tool" ]]; then
+        echo "ci/verify-workloads.sh: $tool not built; run cmake --build first" >&2
+        exit 1
+    fi
+done
+
+regen=0
+[[ "${1:-}" == "--regen" ]] && regen=1
+
+# Each golden report and the one command that produces it (a tool in
+# $BUILD_DIR/tools, @OUT@ = the output path).  Every document holds only
+# integers, strings and bools, so it is a pure function of its command line
+# at any --threads value:
+#   analysis_*  the static fold-legality analysis of the two paper encoders
+#   wcet_*      the WCET pipeline: cost model, loop bounds, solver, cost-aware
+#               selection and the measured soundness check
+#   ipa_*       SSA construction, SCCP, value-set resolution and call-graph
+#               summaries; the jalr fixture is the resolution showcase
+#   sampling_*  one sampled run with its full reference: the decode-cached
+#               pipeline, fast-forward, window scheduler and error-bound math
+#   sweep_*     the predictor registry token path through the driver, the
+#               per-family metrics and the selection artifacts
+GOLDENS=(
+    "analysis_adpcm_enc.json asbr-verify analyze --bench=adpcm-enc --quiet --out=@OUT@"
+    "analysis_g721_enc.json asbr-verify analyze --bench=g721-enc --quiet --out=@OUT@"
+    "wcet_adpcm_enc.json asbr-verify wcet --bench=adpcm-enc --samples=256 --seed=2001 --threads=2 --quiet --out=@OUT@"
+    "wcet_g721_enc.json asbr-verify wcet --bench=g721-enc --samples=256 --seed=2001 --threads=2 --quiet --out=@OUT@"
+    "ipa_adpcm_enc.json asbr-verify ipa --bench=adpcm-enc --quiet --out=@OUT@"
+    "ipa_g721_enc.json asbr-verify ipa --bench=g721-enc --quiet --out=@OUT@"
+    "ipa_jalr_dispatch.json asbr-verify ipa tests/fixtures/jalr_dispatch.s --quiet --out=@OUT@"
+    "sampling_adpcm_enc.json asbr-stats run --bench=adpcm-enc --quick --sample=2000:10000:60000 --sample-ref --asbr --json=@OUT@"
+    "sweep_predictors.json asbr-sweep --quick --workloads=adpcm-enc --predictors=bimodal,tage,perceptron --bits=4 --baseline --threads=2 --json=@OUT@"
+)
 
 status=0
-for fixture in tests/fixtures/*.s; do
-    base=$(basename "$fixture")
-    if [[ "$base" == illegal_* ]]; then
-        if "$VERIFY" "$fixture" --all --no-schedule --quiet; then
-            echo "FAIL: $fixture should have been flagged Illegal" >&2
-            status=1
+if [[ $regen -eq 0 ]]; then
+    for fixture in tests/fixtures/*.s; do
+        base=$(basename "$fixture")
+        if [[ "$base" == illegal_* ]]; then
+            if "$VERIFY" "$fixture" --all --no-schedule --quiet; then
+                echo "FAIL: $fixture should have been flagged Illegal" >&2
+                status=1
+            else
+                echo "ok: $fixture flagged as expected"
+            fi
         else
-            echo "ok: $fixture flagged as expected"
+            if "$VERIFY" "$fixture" --all --no-schedule --quiet; then
+                echo "ok: $fixture verified clean"
+            else
+                echo "FAIL: $fixture should verify clean" >&2
+                status=1
+            fi
         fi
-    else
-        if "$VERIFY" "$fixture" --all --no-schedule --quiet; then
-            echo "ok: $fixture verified clean"
-        else
-            echo "FAIL: $fixture should verify clean" >&2
-            status=1
-        fi
-    fi
-done
+    done
+fi
 
-# ----------------------------------------------------- analysis goldens ----
-# The static-analysis reports for the two paper encoders are pure functions
-# of the program text, so the committed goldens must reproduce byte for
-# byte.  Regenerate intentionally with:
-#   build/tools/asbr-verify analyze --bench=B --out=tests/golden/analysis_B.json
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
-for bench in adpcm-enc g721-enc; do
-    golden="tests/golden/analysis_${bench//-/_}.json"
-    out="$tmpdir/$(basename "$golden")"
-    if ! "$VERIFY" analyze --bench="$bench" --out="$out" --quiet \
-            > "$tmpdir/log" 2>&1; then
-        echo "FAIL: asbr-verify analyze --bench=$bench failed:" >&2
+for entry in "${GOLDENS[@]}"; do
+    read -r golden tool args <<< "$entry"
+    out="$tmpdir/$golden"
+    read -ra argv <<< "${args//@OUT@/$out}"
+    if ! "$BUILD_DIR/tools/$tool" "${argv[@]}" > "$tmpdir/log" 2>&1; then
+        echo "FAIL: $tool ${argv[*]} failed:" >&2
         cat "$tmpdir/log" >&2
-        status=1
-    elif ! diff -q "$golden" "$out" > /dev/null; then
-        echo "FAIL: $golden drifted from the static analysis:" >&2
-        diff "$golden" "$out" | head -20 >&2
-        status=1
-    else
-        echo "ok: $golden reproduced bit-for-bit"
-    fi
-done
-
-# --------------------------------------------------------- wcet goldens ----
-# The static-timing reports pin the whole WCET pipeline: cost model, loop
-# bounds, solver, cost-aware selection and the measured soundness check.
-# Integer-only documents, so byte-stable at any thread count.  Regenerate
-# intentionally with:
-#   build/tools/asbr-verify wcet --bench=B --samples=256 --seed=2001 \
-#       --out=tests/golden/wcet_B.json
-for bench in adpcm-enc g721-enc; do
-    golden="tests/golden/wcet_${bench//-/_}.json"
-    out="$tmpdir/$(basename "$golden")"
-    if ! "$VERIFY" wcet --bench="$bench" --samples=256 --seed=2001 \
-            --threads=2 --out="$out" --quiet > "$tmpdir/log" 2>&1; then
-        echo "FAIL: asbr-verify wcet --bench=$bench failed:" >&2
-        cat "$tmpdir/log" >&2
-        status=1
-    elif ! diff -q "$golden" "$out" > /dev/null; then
-        echo "FAIL: $golden drifted from the static timing engine:" >&2
-        diff "$golden" "$out" | head -20 >&2
-        status=1
-    else
-        echo "ok: $golden reproduced bit-for-bit"
-    fi
-done
-
-# ---------------------------------------------------------- ipa goldens ----
-# The interprocedural reports pin the SSA construction, the SCCP solution,
-# the value-set resolution and the call-graph summaries.  Integer-only and
-# purely static, so byte-stable at any thread count.  The jalr fixture is
-# the resolution showcase: its dispatch-table call must stay resolved (two
-# targets) and WCET-bounded.  Regenerate intentionally with
-# ci/regen-goldens.sh.
-STATS="$BUILD_DIR/tools/asbr-stats"
-for target in adpcm-enc g721-enc jalr; do
-    if [[ "$target" == jalr ]]; then
-        golden="tests/golden/ipa_jalr_dispatch.json"
-        args=(tests/fixtures/jalr_dispatch.s)
-    else
-        golden="tests/golden/ipa_${target//-/_}.json"
-        args=(--bench="$target")
-    fi
-    out="$tmpdir/$(basename "$golden")"
-    if ! "$VERIFY" ipa "${args[@]}" --out="$out" --quiet \
-            > "$tmpdir/log" 2>&1; then
-        echo "FAIL: asbr-verify ipa ${args[*]} failed:" >&2
-        cat "$tmpdir/log" >&2
-        status=1
-    elif ! diff -q "$golden" "$out" > /dev/null; then
-        echo "FAIL: $golden drifted from the interprocedural analysis:" >&2
-        diff "$golden" "$out" | head -20 >&2
         status=1
     elif ! "$STATS" validate "$out" > /dev/null 2>&1; then
-        echo "FAIL: $out does not validate against asbr.ipa_report" >&2
+        echo "FAIL: $tool ${argv[*]} wrote a document that does not" \
+             "validate against its schema" >&2
+        status=1
+    elif [[ $regen -eq 1 ]]; then
+        cp "$out" "$GOLDEN_DIR/$golden"
+        echo "regenerated $GOLDEN_DIR/$golden"
+    elif ! diff -q "$GOLDEN_DIR/$golden" "$out" > /dev/null; then
+        echo "FAIL: $GOLDEN_DIR/$golden drifted from: $tool $args" >&2
+        diff "$GOLDEN_DIR/$golden" "$out" | head -20 >&2
         status=1
     else
-        echo "ok: $golden reproduced bit-for-bit and validated"
+        echo "ok: $GOLDEN_DIR/$golden reproduced bit-for-bit and validated"
     fi
 done
 
@@ -133,59 +121,14 @@ else
     echo "ok: jalr dispatch fixture is resolved and WCET-bounded"
 fi
 
-# ----------------------------------------------------- sampling golden ----
-# One sampled run (quick inputs, pinned seed and window geometry) with the
-# full cycle-accurate reference attached: the integer-only report must
-# reproduce byte for byte, which pins the decode-cached pipeline, the
-# functional fast-forward, the window scheduler and the error-bound math in
-# one artifact.  Regenerate intentionally with:
-#   build/tools/asbr-stats run --bench=adpcm-enc --quick \
-#       --sample=2000:10000:60000 --sample-ref --asbr \
-#       --json=tests/golden/sampling_adpcm_enc.json
-STATS="$BUILD_DIR/tools/asbr-stats"
-golden="tests/golden/sampling_adpcm_enc.json"
-out="$tmpdir/$(basename "$golden")"
-if ! "$STATS" run --bench=adpcm-enc --quick --sample=2000:10000:60000 \
-        --sample-ref --asbr --json="$out" > "$tmpdir/log" 2>&1; then
-    echo "FAIL: sampled asbr-stats run failed:" >&2
-    cat "$tmpdir/log" >&2
-    status=1
-elif ! diff -q "$golden" "$out" > /dev/null; then
-    echo "FAIL: $golden drifted from the sampled simulation:" >&2
-    diff "$golden" "$out" | head -20 >&2
-    status=1
-else
-    echo "ok: $golden reproduced bit-for-bit"
+if [[ $regen -eq 0 ]]; then
+    # The fault-injection regression rides along with the workload gate: the
+    # same build tree, the same committed goldens (see ci/faults.sh).
+    ci/faults.sh || status=1
+
+    # Crash-safety: SIGKILL'd sweeps/campaigns must resume byte-identically
+    # and poisoned jobs must quarantine instead of aborting (ci/resume.sh).
+    ci/resume.sh || status=1
 fi
-
-# ------------------------------------------------ predictor-sweep golden ----
-# One quick sweep over the bimodal baseline plus the two strong predictors
-# (TAGE, perceptron): pins the registry token path through the driver, the
-# per-family metric export and the selection artifacts in one byte-diffed
-# report.  Regenerate intentionally with ci/regen-goldens.sh.
-SWEEP="$BUILD_DIR/tools/asbr-sweep"
-golden="tests/golden/sweep_predictors.json"
-out="$tmpdir/$(basename "$golden")"
-if ! "$SWEEP" --quick --workloads=adpcm-enc \
-        --predictors=bimodal,tage,perceptron --bits=4 --baseline \
-        --threads=2 --json="$out" > "$tmpdir/log" 2>&1; then
-    echo "FAIL: predictor asbr-sweep failed:" >&2
-    cat "$tmpdir/log" >&2
-    status=1
-elif ! diff -q "$golden" "$out" > /dev/null; then
-    echo "FAIL: $golden drifted from the predictor sweep:" >&2
-    diff "$golden" "$out" | head -20 >&2
-    status=1
-else
-    echo "ok: $golden reproduced bit-for-bit"
-fi
-
-# The fault-injection regression rides along with the workload gate: the
-# same build tree, the same committed goldens (see ci/faults.sh).
-ci/faults.sh || status=1
-
-# Crash-safety: SIGKILL'd sweeps/campaigns must resume byte-identically and
-# poisoned jobs must quarantine instead of aborting (see ci/resume.sh).
-ci/resume.sh || status=1
 
 exit $status

@@ -11,17 +11,13 @@
 //
 // Inputs ending in .s/.asm are assembled; anything else is compiled as mcc C.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "asbr/asbr_unit.hpp"
 #include "asbr/extract.hpp"
-#include "asm/assembler.hpp"
 #include "bp/predictor.hpp"
-#include "bp/registry.hpp"
-#include "cc/compile.hpp"
+#include "driver/cli.hpp"
+#include "driver/names.hpp"
 #include "isa/disasm.hpp"
 #include "mem/memory.hpp"
 #include "profile/profiler.hpp"
@@ -47,19 +43,6 @@ using namespace asbr;
     std::exit(2);
 }
 
-std::unique_ptr<BranchPredictor> makePredictor(const std::string& name) {
-    std::string error;
-    auto predictor = PredictorRegistry::instance().make(name, &error);
-    if (!predictor) {
-        std::fprintf(stderr, "asbr_tool: %s\n",
-                     PredictorRegistry::instance()
-                         .unknownTokenMessage(name)
-                         .c_str());
-        std::exit(2);
-    }
-    return predictor;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -76,9 +59,12 @@ int main(int argc, char** argv) {
 
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg.rfind("--predictor=", 0) == 0) predictorName = arg.substr(12);
-        else if (arg == "--asbr") useAsbr = true;
-        else if (arg.rfind("--bit=", 0) == 0) bitEntries = std::stoul(arg.substr(6));
+        std::string error;
+        if (const auto v = driver::valueArg(arg, "--predictor=")) {
+            predictorName = *v;
+        } else if (driver::numArg(arg, "--bit=", bitEntries, error)) {
+            if (!error.empty()) driver::cliFail("asbr_tool", error);
+        } else if (arg == "--asbr") useAsbr = true;
         else if (arg == "--stage=ex") stage = ValueStage::kExEnd;
         else if (arg == "--stage=mem") stage = ValueStage::kMemEnd;
         else if (arg == "--stage=commit") stage = ValueStage::kCommit;
@@ -88,29 +74,11 @@ int main(int argc, char** argv) {
         else usage();
     }
 
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
-        return 1;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string source = buffer.str();
-
     Program program;
     try {
-        const bool isAsm = path.size() > 2 && (path.ends_with(".s") ||
-                                               path.ends_with(".asm"));
-        if (isAsm) {
-            program = assemble(source);
-            if (schedule) cc::scheduleConditionChains(program);
-        } else {
-            cc::CompileOptions options;
-            options.scheduleConditions = schedule;
-            program = cc::compile(source, options).program;
-        }
+        program = driver::loadProgram(path, schedule);
     } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
+        std::fprintf(stderr, "asbr_tool: %s\n", e.what());
         return 1;
     }
 
@@ -123,7 +91,9 @@ int main(int argc, char** argv) {
         return 0;
     }
 
-    auto predictor = makePredictor(predictorName);
+    std::string error;
+    const auto predictor = driver::makePredictorByToken(predictorName, &error);
+    if (!predictor) driver::cliFail("asbr_tool", error);
     AsbrUnit unit({stage, std::max<std::size_t>(bitEntries, 1), 1});
     AsbrUnit* customizer = nullptr;
 
@@ -133,9 +103,7 @@ int main(int argc, char** argv) {
         const ProgramProfile profile = profileProgram(program, profMem);
         SelectionConfig selCfg;
         selCfg.bitCapacity = bitEntries;
-        selCfg.threshold = stage == ValueStage::kExEnd
-                               ? 2
-                               : (stage == ValueStage::kMemEnd ? 3 : 4);
+        selCfg.threshold = driver::thresholdFor(stage);
         const auto candidates = selectFoldableBranches(program, profile, {},
                                                        selCfg);
         std::printf("ASBR: %zu of %zu branch sites selected\n",

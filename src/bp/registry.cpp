@@ -69,15 +69,6 @@ std::vector<std::string> PredictorRegistry::tokens() const {
     return names;
 }
 
-std::string PredictorRegistry::tokenList() const {
-    std::string joined;
-    for (const PredictorFamily& family : families_) {
-        if (!joined.empty()) joined += "|";
-        joined += family.prefix;
-    }
-    return joined;
-}
-
 std::string PredictorRegistry::unknownTokenMessage(
     const std::string& token) const {
     std::string message;

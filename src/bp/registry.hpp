@@ -57,9 +57,6 @@ public:
     /// Every registered family prefix, in registration order.
     [[nodiscard]] std::vector<std::string> tokens() const;
 
-    /// '|'-joined grammar list for help text and structured CLI errors.
-    [[nodiscard]] std::string tokenList() const;
-
     /// The structured one-line diagnostic for an unknown/malformed token:
     /// names the offending token and enumerates every registered family.
     [[nodiscard]] std::string unknownTokenMessage(

@@ -462,15 +462,8 @@ JobResult SimEngine::execute(const SimJob& job, Deadline& deadline,
         out.bitSlotsReclaimed = selection->bitSlotsReclaimed();
         out.unitStats = run->unitStats;
         out.unitStorageBits = unit->storageBits();
-        if (job.predictorAware) {
-            const PredictorAwareSelectionMetrics& aware =
-                selection->awareMetrics();
-            out.predictorAware = true;
-            out.awareHardSites = aware.hardSites;
-            out.awareKeptForPredictor = aware.keptForPredictor;
-            out.awareReclaimedSlots = aware.reclaimedSlots;
-            aware.publish(out.report.registry);
-        }
+        if (job.predictorAware)
+            selection->awareMetrics().publish(out.report.registry);
     }
     return out;
 }

@@ -83,12 +83,6 @@ struct JobResult {
 
     std::uint64_t predictorStorageBits = 0;
 
-    // Predictor-aware selection summary (asbr + predictorAware jobs only).
-    bool predictorAware = false;
-    std::uint64_t awareHardSites = 0;       ///< sites the predictor loses
-    std::uint64_t awareKeptForPredictor = 0;  ///< foldable sites left to it
-    std::uint64_t awareReclaimedSlots = 0;  ///< bimodal-era BIT slots freed
-
     /// Sampled-run outcome (only when SimJob::sampled was set).  `stats`
     /// then holds the detailed-window statistics; when sampleReference was
     /// also set, `reference` carries the full run's cycle/commit counts.

@@ -1,16 +1,13 @@
 #include "driver/names.hpp"
 
 #include "bp/registry.hpp"
+#include "report/report.hpp"
 
 namespace asbr::driver {
 
 std::optional<BenchId> benchFromToken(const std::string& token) {
-    if (token == "adpcm-enc") return BenchId::kAdpcmEncode;
-    if (token == "adpcm-dec") return BenchId::kAdpcmDecode;
-    if (token == "g721-enc") return BenchId::kG721Encode;
-    if (token == "g721-dec") return BenchId::kG721Decode;
-    if (token == "g711-enc") return BenchId::kG711Encode;
-    if (token == "g711-dec") return BenchId::kG711Decode;
+    for (const BenchId id : kAllBenchesExtended)
+        if (token == benchToken(id)) return id;
     return std::nullopt;
 }
 
@@ -38,14 +35,10 @@ std::unique_ptr<BranchPredictor> makePredictorByToken(const std::string& token,
     return predictor;
 }
 
-std::string predictorTokenList() {
-    return PredictorRegistry::instance().tokenList();
-}
-
 std::optional<ValueStage> stageFromToken(const std::string& token) {
-    if (token == "ex_end") return ValueStage::kExEnd;
-    if (token == "mem_end") return ValueStage::kMemEnd;
-    if (token == "commit") return ValueStage::kCommit;
+    for (const ValueStage stage :
+         {ValueStage::kExEnd, ValueStage::kMemEnd, ValueStage::kCommit})
+        if (token == valueStageName(stage)) return stage;
     return std::nullopt;
 }
 

@@ -36,11 +36,8 @@ namespace asbr::driver {
 [[nodiscard]] std::unique_ptr<BranchPredictor> makePredictorByToken(
     const std::string& token, std::string* error = nullptr);
 
-/// Help-text fragment listing every predictor family token, '|'-separated
-/// (sourced from the PredictorRegistry).
-[[nodiscard]] std::string predictorTokenList();
-
-/// "ex_end" | "mem_end" | "commit" -> ValueStage; nullopt otherwise.
+/// "ex_end" | "mem_end" | "commit" (valueStageName) -> ValueStage; nullopt
+/// otherwise.
 [[nodiscard]] std::optional<ValueStage> stageFromToken(const std::string& token);
 
 /// Paper branch-selection counts: 16 for G.721 encode, 15 for decode, 4 for

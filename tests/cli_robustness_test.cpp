@@ -1,7 +1,8 @@
 // CLI robustness (docs/fault-injection.md, "Robustness"): every asbr-* tool
-// must turn bad input — unknown flags, missing files, malformed JSON,
-// wrong-schema documents — into a one-line structured error and a non-zero
-// exit code.  No tool may die from an uncaught exception or a signal.
+// must turn bad input — unknown flags, malformed numbers, missing files,
+// malformed JSON, wrong-schema documents, a failed write — into a one-line
+// structured error and a non-zero exit code.  No tool may die from an
+// uncaught exception or a signal.
 //
 // The tests shell out to the real binaries (ASBR_TOOLS_DIR is injected by
 // CMake as the tool build directory) and inspect exit status + combined
@@ -9,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -336,6 +339,124 @@ TEST(CliRobustness, BenchBinariesHonourJobTimeout) {
                                 "--quick --workload=g721-enc --job-timeout=1");
     expectCleanRejection(r, "fig6_baseline");
     EXPECT_NE(r.output.find("job watchdog"), r.output.npos) << r.output;
+}
+
+// ---- the one number rule (driver::parseNumber) -----------------------------
+// A numeric flag takes a non-empty run of decimal digits that fits its
+// type.  Each of these spellings used to run with a guessed value (12, 0,
+// 2^64-1, 5) or abort the tool.
+
+const char* const kMalformedNumbers[] = {"12abc", "",   "-1",
+                                         "+5",    " 5", "99999999999999999999"};
+
+/// `tool args FLAG=VALUE` exits 2 with one line naming FLAG, for every
+/// malformed VALUE.
+void expectNumberRejected(const std::string& tool, const std::string& args,
+                          const std::string& flag) {
+    for (const char* value : kMalformedNumbers) {
+        const std::string what = tool + " " + flag + "='" + value + "'";
+        const RunResult r =
+            runTool(tool, args + " '" + flag + "=" + value + "'");
+        expectCleanRejection(r, what);
+        EXPECT_EQ(r.exitCode, 2) << what << ":\n" << r.output;
+        EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 1)
+            << what << ":\n" << r.output;
+        EXPECT_NE(r.output.find(flag), r.output.npos)
+            << what << ":\n" << r.output;
+    }
+}
+
+TEST(CliRobustness, SharedNumericOptionsFollowTheNumberRule) {
+    for (const char* flag : {"--seed", "--adpcm", "--g721", "--threads",
+                             "--job-timeout", "--max-attempts"}) {
+        expectNumberRejected("asbr-stats", "run --bench=adpcm-enc --quick",
+                             flag);
+        expectNumberRejected("../bench/fig6_baseline",
+                             "--quick --workload=adpcm-enc", flag);
+    }
+}
+
+TEST(CliRobustness, ToolNumericFlagsFollowTheNumberRule) {
+    expectNumberRejected("asbr-stats", "run --bench=adpcm-enc --quick",
+                         "--bit");
+    expectNumberRejected("asbr-faults",
+                         "campaign --bench=adpcm-enc --adpcm=2000",
+                         "--injections");
+    expectNumberRejected("asbr-faults", "replay /nonexistent/fr.json",
+                         "--index");
+    expectNumberRejected("asbr-sweep", "--quick --workloads=adpcm-enc",
+                         "--bits");
+    expectNumberRejected("asbr-verify", "wcet --bench=adpcm-enc", "--seed");
+    expectNumberRejected("asbr-verify", "wcet --bench=adpcm-enc",
+                         "--samples");
+    const std::string src = writeTemp("number_rule.s",
+                                      "main:   li v0, 1\n"
+                                      "        li a0, 0\n"
+                                      "        sys\n");
+    expectNumberRejected("asbr-verify", src + " --no-profile", "--bit");
+    expectNumberRejected("../examples/asbr_tool", src + " --asbr", "--bit");
+}
+
+TEST(CliRobustness, AsbrToolRejectsANonNumericBitWithoutAborting) {
+    const std::string src = writeTemp("asbr_tool_bit.s",
+                                      "main:   li v0, 1\n"
+                                      "        li a0, 0\n"
+                                      "        sys\n");
+    const RunResult r =
+        runTool("../examples/asbr_tool", src + " --asbr --bit=x");
+    expectCleanRejection(r, "asbr_tool --bit=x");
+    EXPECT_EQ(r.exitCode, 2) << r.output;
+}
+
+// ---- the one writer (driver::writeOutput) ---------------------------------
+// Every report, trace and graph goes through one writer that flushes and
+// checks each byte.  On a full disk the tools used to print "wrote ..." and
+// exit 0 with the artifact lost.
+
+/// Writing the output to /dev/full fails the run: exit 1, one line naming
+/// the path, and no "wrote" claim.
+void expectWriteFailure(const std::string& tool, const std::string& args) {
+    if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full here";
+    const RunResult r = runTool(tool, args);
+    const std::string what = tool + " " + args;
+    expectCleanRejection(r, what);
+    EXPECT_EQ(r.exitCode, 1) << what << ":\n" << r.output;
+    EXPECT_EQ(r.output.find("wrote"), r.output.npos)
+        << what << ":\n" << r.output;
+    EXPECT_NE(r.output.find("cannot write '/dev/full'"), r.output.npos)
+        << what << ":\n" << r.output;
+}
+
+TEST(CliRobustness, StatsRunFailsOnAFullDisk) {
+    expectWriteFailure("asbr-stats",
+                       "run --bench=adpcm-enc --quick --json=/dev/full");
+}
+
+TEST(CliRobustness, VerifyAnalyzeFailsOnAFullDisk) {
+    expectWriteFailure("asbr-verify",
+                       "analyze --bench=adpcm-enc --quiet --out=/dev/full");
+}
+
+TEST(CliRobustness, VerifyCallgraphFailsOnAFullDisk) {
+    expectWriteFailure("asbr-verify",
+                       "callgraph --bench=adpcm-enc --out=/dev/full");
+}
+
+TEST(CliRobustness, SweepFailsOnAFullDisk) {
+    expectWriteFailure(
+        "asbr-sweep",
+        "--quick --workloads=adpcm-enc --bits=4 --json=/dev/full");
+}
+
+TEST(CliRobustness, FaultsCampaignFailsOnAFullDisk) {
+    expectWriteFailure("asbr-faults",
+                       "campaign --bench=adpcm-enc --adpcm=2000 "
+                       "--injections=2 --json=/dev/full");
+}
+
+TEST(CliRobustness, BenchBinariesFailOnAFullDisk) {
+    expectWriteFailure("../bench/fig6_baseline",
+                       "--quick --workload=adpcm-enc --json=/dev/full");
 }
 
 TEST_P(CliRobustnessTest, HelpMentionsDurabilityFlags) {

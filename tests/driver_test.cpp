@@ -8,9 +8,13 @@
 // ci/bench-report.sh and ci/faults.sh do with the real binaries.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -662,6 +666,81 @@ TEST(CliOptionsTest, SampleSpecIsThreeBoundedDecimalCounts) {
         EXPECT_NE(error.find("bad --sample spec"), error.npos) << spec;
         EXPECT_FALSE(rejected.sample.has_value()) << spec;
     }
+}
+
+TEST(CliOptionsTest, NumbersAreUnsignedDecimalsThatFitTheirType) {
+    EXPECT_EQ(parseNumber<std::uint64_t>("0"), 0u);
+    EXPECT_EQ(parseNumber<std::uint64_t>("0042"), 42u);
+    EXPECT_EQ(parseNumber<std::uint64_t>("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(parseNumber<std::uint32_t>("4294967295"),
+              std::numeric_limits<std::uint32_t>::max());
+    for (const char* text : {"", "12abc", "-1", "+5", " 5", "5 ", "0x10",
+                             "1e3", "18446744073709551616"})
+        EXPECT_FALSE(parseNumber<std::uint64_t>(text).has_value()) << text;
+    EXPECT_FALSE(parseNumber<std::uint32_t>("4294967296").has_value());
+}
+
+TEST(CliOptionsTest, NumArgMatchesItsPrefixAndNamesItsFlag) {
+    std::uint32_t value = 7;
+    std::string error;
+    EXPECT_FALSE(numArg("--bits=4", "--bit=", value, error));
+    EXPECT_TRUE(numArg("--bit=4", "--bit=", value, error));
+    EXPECT_EQ(value, 4u);
+    EXPECT_TRUE(error.empty()) << error;
+    EXPECT_TRUE(numArg("--bit=4294967296", "--bit=", value, error));
+    EXPECT_EQ(value, 4u) << "a rejected value must leave the target alone";
+    EXPECT_EQ(error,
+              "bad --bit value '4294967296' (want an unsigned decimal "
+              "number below 2^32)");
+}
+
+TEST(CliOptionsTest, MalformedSharedNumbersYieldStructuredErrors) {
+    const CliOptions defaults;
+    for (const char* flag : {"--seed", "--adpcm", "--g721", "--threads",
+                             "--job-timeout", "--max-attempts"})
+        for (const char* value :
+             {"12abc", "", "-1", "+5", " 5", "99999999999999999999"}) {
+            CliOptions options;
+            std::string error;
+            const std::string arg = std::string(flag) + "=" + value;
+            EXPECT_TRUE(consumeSharedOption(arg, options, error)) << arg;
+            EXPECT_NE(error.find(std::string("bad ") + flag + " value"),
+                      error.npos)
+                << arg << ": " << error;
+            EXPECT_EQ(options.seed, defaults.seed) << arg;
+            EXPECT_EQ(options.adpcmSamples, defaults.adpcmSamples) << arg;
+            EXPECT_EQ(options.g721Samples, defaults.g721Samples) << arg;
+            EXPECT_EQ(options.threads, defaults.threads) << arg;
+            EXPECT_EQ(options.jobTimeoutMs, defaults.jobTimeoutMs) << arg;
+            EXPECT_EQ(options.maxAttempts, defaults.maxAttempts) << arg;
+        }
+}
+
+TEST(CliIoTest, ReadFileReturnsEveryByteAndNamesAMissingPath) {
+    const std::string path = testing::TempDir() + "asbr_cli_io_read.bin";
+    const std::string bytes("line one\n\0line two\r\n", 20);
+    std::ofstream(path, std::ios::binary) << bytes;
+    EXPECT_EQ(readFile(path), bytes);
+    try {
+        (void)readFile("/nonexistent/asbr_cli_io.txt");
+        ADD_FAILURE() << "reading a missing file did not throw";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "cannot open '/nonexistent/asbr_cli_io.txt'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(CliIoTest, WriteOutputChecksTheWriteItself) {
+    const std::string path = testing::TempDir() + "asbr_cli_io_write.txt";
+    writeOutput(path, "payload\n", "test payload");
+    EXPECT_EQ(readFile(path), "payload\n");
+    EXPECT_THROW(writeOutput("/nonexistent/dir/out.txt", "x", "test"),
+                 std::runtime_error);
+    if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full here";
+    EXPECT_THROW(writeOutput("/dev/full", "x", "test"), std::runtime_error);
 }
 
 TEST(CliOptionsTest, SamplesAreCappedAtWorkloadCapacity) {

@@ -473,8 +473,13 @@ TEST(PredictorAwareSelectionTest, EngineRunReportsAwareCounters) {
     const std::vector<JobResult> results = engine.run({job});
     ASSERT_EQ(results.size(), 1u);
     const JobResult& result = results[0];
-    EXPECT_TRUE(result.predictorAware);
-    EXPECT_GT(result.awareHardSites + result.awareKeptForPredictor, 0u);
+    const MetricRegistry& registry = result.report.registry;
+    const Counter* hard =
+        registry.findCounter("selection.predictor_aware_hard_sites");
+    const Counter* kept = registry.findCounter("selection.predictor_aware_kept");
+    ASSERT_NE(hard, nullptr);
+    ASSERT_NE(kept, nullptr);
+    EXPECT_GT(hard->value() + kept->value(), 0u);
 
     const std::string json = simReportJson(result.report).dump(2);
     EXPECT_NE(json.find("\"predictor_aware\": true"), std::string::npos);

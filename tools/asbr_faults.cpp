@@ -13,12 +13,7 @@
 // Campaigns run on the driver::SimEngine worker pool — injections are
 // sampled in serial RNG order and merged by index, so --threads=8 emits the
 // same bytes as --threads=1.
-#include <atomic>
-#include <csignal>
 #include <cstdio>
-#include <fstream>
-#include <optional>
-#include <sstream>
 #include <string>
 
 #include "bench_util.hpp"
@@ -63,10 +58,6 @@ namespace {
         code == 0 ? stdout : stderr);
     std::exit(code);
 }
-
-std::atomic<bool> gInterrupted{false};
-
-extern "C" void onSignal(int) { gInterrupted.store(true); }
 
 /// The ASBR job a campaign (or replay) simulates: the paper's BIT size for
 /// the benchmark, bimodal-2048 accuracy reference, chosen aux predictor.
@@ -118,29 +109,17 @@ int cmdCampaign(int argc, char** argv) {
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
         std::string error;
-        if (driver::consumeSharedOption(arg, options, error)) {
-            if (!error.empty()) {
-                std::fprintf(stderr, "campaign: %s\n", error.c_str());
-                return 2;
-            }
-        } else if (arg.rfind("--bench=", 0) == 0) {
-            bench = arg.substr(8);
-        } else if (arg.rfind("--predictor=", 0) == 0) {
-            predictorName = arg.substr(12);
+        if (driver::consumeSharedOption(arg, options, error) ||
+            driver::numArg(arg, "--injections=", campaign.injections, error) ||
+            driver::numArg(arg, "--fault-seed=", campaign.seed, error)) {
+        } else if (const auto v = driver::valueArg(arg, "--bench=")) {
+            bench = *v;
+        } else if (const auto v = driver::valueArg(arg, "--predictor=")) {
+            predictorName = *v;
         } else if (arg == "--protected") {
             protectedMode = true;
-        } else if (const auto v = driver::numArg(arg, "--injections=")) {
-            campaign.injections = *v;
-        } else if (const auto v = driver::numArg(arg, "--fault-seed=")) {
-            campaign.seed = *v;
-        } else if (arg.rfind("--stage=", 0) == 0) {
-            const auto s = driver::stageFromToken(arg.substr(8));
-            if (!s) {
-                std::fprintf(stderr, "campaign: unknown --stage '%s'\n",
-                             arg.substr(8).c_str());
-                return 2;
-            }
-            stage = *s;
+        } else if (const auto v = driver::valueArg(arg, "--stage=")) {
+            if (const auto s = driver::stageArg(*v, error)) stage = *s;
         } else if (arg == "--no-bdt") {
             campaign.faultBdt = false;
         } else if (arg == "--no-bit") {
@@ -150,48 +129,31 @@ int cmdCampaign(int argc, char** argv) {
         } else if (arg == "--help" || arg == "-h") {
             usage(0);
         } else {
-            std::fprintf(stderr, "campaign: unknown option '%s'\n",
-                         arg.c_str());
-            return 2;
+            error = "unknown option '" + arg + "'";
         }
+        if (!error.empty()) driver::cliFail("campaign", error);
     }
 
-    auto id = bench.empty() ? options.workload : driver::benchFromToken(bench);
-    if (!id) {
-        std::fprintf(stderr, "campaign: --bench is required (%s)\n",
-                     driver::benchTokenList());
-        return 2;
-    }
-    std::string predictorError;
-    if (driver::makePredictorByToken(predictorName, &predictorError) ==
-        nullptr) {
-        std::fprintf(stderr, "campaign: %s\n", predictorError.c_str());
-        return 2;
-    }
-    if (options.sample.has_value()) {
-        std::fprintf(stderr,
-                     "campaign: --sample is not supported here — injections "
-                     "are classified against the full cycle-accurate golden "
-                     "run\n");
-        return 2;
-    }
-    if (options.resume && options.journalDir.empty()) {
-        std::fprintf(stderr, "campaign: --resume requires --journal=DIR\n");
-        return 2;
-    }
-
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGTERM, onSignal);
+    const BenchId id = driver::requiredWorkload("campaign", bench, options);
+    std::string error;
+    if (driver::makePredictorByToken(predictorName, &error) == nullptr)
+        driver::cliFail("campaign", error);
+    if (options.sample.has_value())
+        driver::cliFail("campaign",
+                        "--sample is not supported here — injections are "
+                        "classified against the full cycle-accurate golden "
+                        "run");
+    driver::checkJournalFlags("campaign", options, true);
 
     SimEngine engine(driver::engineConfigFor(options));
     const SimJob job =
-        campaignJob(*id, options, predictorName, protectedMode, stage);
+        campaignJob(id, options, predictorName, protectedMode, stage);
     const FaultReportMeta meta = metaFor(engine, job);
 
     driver::DurablePolicy policy;
     policy.journalDir = options.journalDir;
     policy.resume = options.resume;
-    policy.interrupted = &gInterrupted;
+    policy.interrupted = driver::catchInterrupts();
     const driver::DurableCampaignResult durable =
         engine.runCampaignDurable(job, campaign, policy);
     const CampaignResult& result = durable.result;
@@ -221,44 +183,13 @@ int cmdCampaign(int argc, char** argv) {
         return 130;
     }
 
-    if (!options.jsonPath.empty()) {
-        const JsonValue doc =
-            faultReportJson(meta, campaign, result, durable.failed);
-        const std::string text = doc.dump(2) + "\n";
-        if (options.jsonPath == "-") {
-            std::fputs(text.c_str(), stdout);
-        } else {
-            std::ofstream out(options.jsonPath);
-            if (!out) {
-                std::fprintf(stderr, "cannot open %s for writing\n",
-                             options.jsonPath.c_str());
-                return 1;
-            }
-            out << text;
-            std::fprintf(stderr, "wrote fault report to %s\n",
-                         options.jsonPath.c_str());
-        }
-    }
+    if (!options.jsonPath.empty())
+        driver::writeOutput(
+            options.jsonPath,
+            faultReportJson(meta, campaign, result, durable.failed).dump(2) +
+                "\n",
+            "fault report");
     return durable.failed.empty() ? 0 : 3;
-}
-
-/// Load + parse + schema-check a fault report file.  Returns nullopt (after
-/// printing a one-line diagnosis) on any failure.
-std::optional<JsonValue> loadFaultReport(const char* path) {
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot open %s\n", path);
-        return std::nullopt;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const JsonParseResult parsed = parseJson(buffer.str());
-    if (!parsed.ok()) {
-        std::fprintf(stderr, "%s: JSON parse error: %s\n", path,
-                     parsed.error.c_str());
-        return std::nullopt;
-    }
-    return *parsed.value;
 }
 
 int cmdReplay(int argc, char** argv) {
@@ -266,38 +197,33 @@ int cmdReplay(int argc, char** argv) {
     std::uint64_t index = 0;
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (const auto v = driver::numArg(arg, "--index=")) {
-            index = *v;
+        std::string error;
+        if (driver::numArg(arg, "--index=", index, error)) {
         } else if (arg == "--help" || arg == "-h") {
             usage(0);
         } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "replay: unknown option '%s'\n", arg.c_str());
-            return 2;
+            error = "unknown option '" + arg + "'";
         } else if (path == nullptr) {
             path = argv[i];
         } else {
-            std::fprintf(stderr, "replay: unexpected argument '%s'\n",
-                         arg.c_str());
-            return 2;
+            error = "unexpected argument '" + arg + "'";
         }
+        if (!error.empty()) driver::cliFail("replay", error);
     }
-    if (path == nullptr) {
-        std::fprintf(stderr, "replay: a fault report FILE is required\n");
-        return 2;
-    }
+    if (path == nullptr)
+        driver::cliFail("replay", "a fault report FILE is required");
 
-    const auto doc = loadFaultReport(path);
-    if (!doc) return 1;
-    const ReportValidation validation = validateFaultReportJson(*doc);
+    const JsonValue doc = driver::readJson(path);
+    const ReportValidation validation = validateFaultReportJson(doc);
     if (!validation.ok()) {
         std::fprintf(stderr, "%s: not a valid fault report (%s)\n", path,
                      validation.errors.front().c_str());
         return 1;
     }
 
-    const JsonValue& meta = *doc->find("meta");
-    const JsonValue& campaignJson = *doc->find("campaign");
-    const JsonArray& injections = doc->find("injections")->asArray();
+    const JsonValue& meta = *doc.find("meta");
+    const JsonValue& campaignJson = *doc.find("campaign");
+    const JsonArray& injections = doc.find("injections")->asArray();
     if (index >= injections.size()) {
         std::fprintf(stderr, "%s: --index=%llu out of range (%zu injections)\n",
                      path, static_cast<unsigned long long>(index),
@@ -362,18 +288,6 @@ int cmdReplay(int argc, char** argv) {
     return 0;
 }
 
-int cmdValidate(const char* path) {
-    const auto doc = loadFaultReport(path);
-    if (!doc) return 1;
-    const ReportValidation validation = validateFaultReportJson(*doc);
-    for (const std::string& error : validation.errors)
-        std::fprintf(stderr, "%s: %s\n", path, error.c_str());
-    if (!validation.ok()) return 1;
-    std::printf("%s: valid %s v%llu document\n", path, kFaultReportSchema,
-                static_cast<unsigned long long>(kFaultReportVersion));
-    return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -386,7 +300,7 @@ int main(int argc, char** argv) {
         if (command == "replay") return cmdReplay(argc - 2, argv + 2);
         if (command == "validate") {
             if (argc != 3) usage(2);
-            return cmdValidate(argv[2]);
+            return driver::validateFile(argv[2], &kFaultReportSpec);
         }
         std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
         usage(2);

@@ -14,12 +14,10 @@
 // Every command is a thin job-spec builder over driver::SimEngine; `report`
 // runs its whole batch on the engine worker pool (--threads=N) and is
 // byte-identical at any thread count.
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -81,32 +79,6 @@ namespace {
     std::exit(code);
 }
 
-/// Single-run commands have no journal: fail fast instead of silently
-/// ignoring a flag the user expected to persist something.
-bool rejectJournalFlags(const char* command, const Options& options) {
-    if (options.journalDir.empty() && !options.resume) return false;
-    std::fprintf(stderr,
-                 "%s: --journal/--resume apply to asbr-sweep and asbr-faults "
-                 "campaign (docs/robustness.md)\n",
-                 command);
-    return true;
-}
-
-void writeTextTo(const std::string& path, const std::string& text,
-                 const char* what) {
-    if (path == "-") {
-        std::fputs(text.c_str(), stdout);
-        return;
-    }
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-        std::exit(1);
-    }
-    out << text;
-    std::fprintf(stderr, "wrote %s to %s\n", what, path.c_str());
-}
-
 int cmdCounters() {
     // Zero-valued publishes from every metric-owning component enumerate the
     // complete namespace without running a simulation.
@@ -157,20 +129,16 @@ int cmdRun(int argc, char** argv) {
     job.figure = "run";
     std::string tracePath;
     std::string traceFormat = "chrome";
-    std::optional<std::uint64_t> minMips;
+    std::uint64_t minMips = 0;
 
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
         std::string error;
         if (driver::consumeSharedOption(arg, options, error)) {
-            if (!error.empty()) {
-                std::fprintf(stderr, "run: %s\n", error.c_str());
-                return 2;
-            }
-        } else if (arg.rfind("--bench=", 0) == 0) {
-            bench = arg.substr(8);
-        } else if (arg.rfind("--predictor=", 0) == 0) {
-            job.predictor = arg.substr(12);
+        } else if (const auto v = driver::valueArg(arg, "--bench=")) {
+            bench = *v;
+        } else if (const auto v = driver::valueArg(arg, "--predictor=")) {
+            job.predictor = *v;
         } else if (arg == "--asbr") {
             job.asbr = true;
         } else if (arg == "--static-folds") {
@@ -182,76 +150,52 @@ int cmdRun(int argc, char** argv) {
         } else if (arg == "--protected") {
             job.parityProtected = true;
             job.asbr = true;
-        } else if (const auto v = driver::numArg(arg, "--bit=")) {
-            job.bitEntries = *v;
+        } else if (driver::numArg(arg, "--bit=", job.bitEntries, error)) {
             job.asbr = true;
-        } else if (arg.rfind("--stage=", 0) == 0) {
-            const auto s = driver::stageFromToken(arg.substr(8));
-            if (!s) {
-                std::fprintf(stderr, "run: unknown --stage '%s'\n",
-                             arg.substr(8).c_str());
-                return 2;
-            }
-            job.updateStage = *s;
+        } else if (const auto v = driver::valueArg(arg, "--stage=")) {
+            if (const auto stage = driver::stageArg(*v, error))
+                job.updateStage = *stage;
             job.asbr = true;
         } else if (arg == "--sample-ref") {
             job.sampleReference = true;
-        } else if (const auto v = driver::numArg(arg, "--min-mips=")) {
-            minMips = *v;
-        } else if (arg.rfind("--trace=", 0) == 0) {
-            tracePath = arg.substr(8);
-        } else if (arg.rfind("--trace-format=", 0) == 0) {
-            traceFormat = arg.substr(15);
-            if (traceFormat != "chrome" && traceFormat != "jsonl") {
-                std::fprintf(stderr, "run: unknown --trace-format '%s'\n",
-                             traceFormat.c_str());
-                return 2;
-            }
-        } else if (const auto v = driver::numArg(arg, "--trace-start=")) {
-            job.traceConfig.startCycle = *v;
-        } else if (const auto v = driver::numArg(arg, "--trace-end=")) {
-            job.traceConfig.endCycle = *v;
-        } else if (const auto v = driver::numArg(arg, "--trace-max=")) {
-            job.traceConfig.maxEvents = *v;
+        } else if (driver::numArg(arg, "--min-mips=", minMips, error) ||
+                   driver::numArg(arg, "--trace-start=",
+                                  job.traceConfig.startCycle, error) ||
+                   driver::numArg(arg, "--trace-end=",
+                                  job.traceConfig.endCycle, error) ||
+                   driver::numArg(arg, "--trace-max=",
+                                  job.traceConfig.maxEvents, error)) {
+        } else if (const auto v = driver::valueArg(arg, "--trace=")) {
+            tracePath = *v;
+        } else if (const auto v = driver::valueArg(arg, "--trace-format=")) {
+            traceFormat = *v;
+            if (traceFormat != "chrome" && traceFormat != "jsonl")
+                error = "unknown --trace-format '" + traceFormat + "'";
         } else if (arg == "--help" || arg == "-h") {
             usage(0);
         } else {
-            std::fprintf(stderr, "run: unknown option '%s'\n", arg.c_str());
-            return 2;
+            error = "unknown option '" + arg + "'";
         }
+        if (!error.empty()) driver::cliFail("run", error);
     }
 
-    // --workload= (shared spelling) and --bench= (historical) are aliases.
-    auto id = bench.empty() ? options.workload : driver::benchFromToken(bench);
-    if (!id) {
-        std::fprintf(stderr, "run: --bench is required (%s)\n",
-                     driver::benchTokenList());
-        return 2;
-    }
-    std::string predictorError;
-    if (driver::makePredictorByToken(job.predictor, &predictorError) ==
-        nullptr) {
-        std::fprintf(stderr, "run: %s\n", predictorError.c_str());
-        return 2;
-    }
-    if (job.staticFolds && job.predictorAware) {
-        std::fprintf(stderr,
-                     "run: --static-folds and --predictor-aware are "
-                     "exclusive\n");
-        return 2;
-    }
-    if (rejectJournalFlags("run", options)) return 2;
-    job.workload = *id;
+    const BenchId id = driver::requiredWorkload("run", bench, options);
+    std::string error;
+    if (driver::makePredictorByToken(job.predictor, &error) == nullptr)
+        driver::cliFail("run", error);
+    if (job.staticFolds && job.predictorAware)
+        driver::cliFail("run",
+                        "--static-folds and --predictor-aware are exclusive");
+    driver::checkJournalFlags("run", options, false);
+    job.workload = id;
     job.seed = options.seed;
-    job.samples = samplesFor(options, *id);
+    job.samples = samplesFor(options, id);
     if (options.sample) {
         job.sampled = true;
         job.sampling = *options.sample;
     }
-    if (job.sampleReference && !job.sampled) {
-        std::fprintf(stderr, "run: --sample-ref requires --sample=W:M:S\n");
-        return 2;
-    }
+    if (job.sampleReference && !job.sampled)
+        driver::cliFail("run", "--sample-ref requires --sample=W:M:S");
     if (!tracePath.empty()) job.trace = true;
 
     SimEngine engine(driver::engineConfigFor(options));
@@ -270,7 +214,7 @@ int cmdRun(int argc, char** argv) {
     if (r.sampled != nullptr) {
         const SampledResult& s = *r.sampled;
         TextTable table(std::string("asbr-stats run (sampled): ") +
-                        benchName(*id) + " / " + r.report.meta.predictor +
+                        benchName(id) + " / " + r.report.meta.predictor +
                         (job.asbr ? " + ASBR" : ""));
         table.setHeader({"windows", "measured instr", "fast-forwarded",
                          "CPI estimate", "ci95 +/-", "fold rate"});
@@ -297,7 +241,7 @@ int cmdRun(int argc, char** argv) {
                 formatFixed(refCpi, 3).c_str(), errPct);
         }
     } else {
-        TextTable table(std::string("asbr-stats run: ") + benchName(*id) +
+        TextTable table(std::string("asbr-stats run: ") + benchName(id) +
                         " / " + r.report.meta.predictor +
                         (job.asbr ? " + ASBR" : ""));
         table.setHeader(
@@ -318,11 +262,12 @@ int cmdRun(int argc, char** argv) {
                     SamplingReference{r.referenceCycles, r.referenceCommitted};
             const JsonValue doc = samplingReportJson(
                 r.report.meta, job.sampling, *r.sampled, reference);
-            writeTextTo(options.jsonPath, doc.dump(2) + "\n",
-                        "sampling report");
+            driver::writeOutput(options.jsonPath, doc.dump(2) + "\n",
+                                "sampling report");
         } else {
             const JsonValue doc = simReportJson(r.report);
-            writeTextTo(options.jsonPath, doc.dump(2) + "\n", "sim report");
+            driver::writeOutput(options.jsonPath, doc.dump(2) + "\n",
+                                "sim report");
         }
     }
 
@@ -332,7 +277,7 @@ int cmdRun(int argc, char** argv) {
             r.tracer->writeJsonl(out);
         else
             r.tracer->writeChrome(out);
-        writeTextTo(tracePath, out.str(), "pipeline trace");
+        driver::writeOutput(tracePath, out.str(), "pipeline trace");
         if (r.tracer->truncated())
             std::fprintf(stderr,
                          "note: trace truncated at %zu events "
@@ -351,10 +296,10 @@ int cmdRun(int argc, char** argv) {
                             : 0.0;
     std::fprintf(stderr, "sim speed: %.1f MIPS (%s instructions in %.2fs)\n",
                  mips, formatWithCommas(simulated).c_str(), hostSeconds);
-    if (minMips && mips < static_cast<double>(*minMips)) {
+    if (mips < static_cast<double>(minMips)) {
         std::fprintf(stderr,
                      "run: sim speed %.1f MIPS below --min-mips floor %llu\n",
-                     mips, static_cast<unsigned long long>(*minMips));
+                     mips, static_cast<unsigned long long>(minMips));
         return 3;
     }
     return 0;
@@ -366,22 +311,17 @@ int cmdReport(int argc, char** argv) {
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
         std::string error;
-        if (arg.rfind("--out=", 0) == 0) {
-            options.jsonPath = arg.substr(6);
+        if (const auto v = driver::valueArg(arg, "--out=")) {
+            options.jsonPath = *v;
         } else if (driver::consumeSharedOption(arg, options, error)) {
-            if (!error.empty()) {
-                std::fprintf(stderr, "report: %s\n", error.c_str());
-                return 2;
-            }
         } else if (arg == "--help" || arg == "-h") {
             usage(0);
         } else {
-            std::fprintf(stderr, "report: unknown option '%s'\n", arg.c_str());
-            return 2;
+            error = "unknown option '" + arg + "'";
         }
+        if (!error.empty()) driver::cliFail("report", error);
     }
-
-    if (rejectJournalFlags("report", options)) return 2;
+    driver::checkJournalFlags("report", options, false);
 
     // The whole Figure 6 + Figure 11 grid as one engine batch: per bench,
     // the three baseline predictors, then ASBR with the paper's BIT size
@@ -420,40 +360,6 @@ int cmdReport(int argc, char** argv) {
     return 0;
 }
 
-int cmdValidate(const char* path) {
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot open %s\n", path);
-        return 2;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const JsonParseResult parsed = parseJson(buffer.str());
-    if (!parsed.ok()) {
-        std::fprintf(stderr, "%s: JSON parse error: %s\n", path,
-                     parsed.error.c_str());
-        return 1;
-    }
-    const JsonValue* schema = parsed.value->find("schema");
-    if (schema == nullptr || !schema->isString()) {
-        std::fprintf(stderr, "%s: missing string member 'schema'\n", path);
-        return 1;
-    }
-    const SchemaSpec* spec = findSchema(schema->asString());
-    if (spec == nullptr) {
-        std::fprintf(stderr, "%s: unknown schema '%s'\n", path,
-                     schema->asString().c_str());
-        return 1;
-    }
-    const ReportValidation validation = validate(*parsed.value, *spec);
-    for (const std::string& error : validation.errors)
-        std::fprintf(stderr, "%s: %s\n", path, error.c_str());
-    if (!validation.ok()) return 1;
-    std::printf("%s: valid %s v%llu document\n", path, spec->id.c_str(),
-                static_cast<unsigned long long>(spec->version));
-    return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -468,7 +374,7 @@ int main(int argc, char** argv) {
         if (command == "report") return cmdReport(argc - 2, argv + 2);
         if (command == "validate") {
             if (argc != 3) usage(2);
-            return cmdValidate(argv[2]);
+            return driver::validateFile(argv[2]);
         }
         std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
         usage(2);

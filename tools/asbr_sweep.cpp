@@ -18,11 +18,9 @@
 //   asbr-sweep --workload=g721-enc --stages=commit,mem_end,ex_end
 //              --baseline --threads=8 --json=sweep.json
 //   asbr-sweep --journal=sweep.j --resume --json=sweep.json
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -79,31 +77,17 @@ namespace {
     std::exit(code);
 }
 
+/// "a,b,c" -> {"a", "b", "c"}.  Every item counts, so an empty one ("a,,b",
+/// or an empty list) is a bad token its axis rejects like any other.
 std::vector<std::string> splitList(const std::string& text) {
     std::vector<std::string> items;
     std::size_t start = 0;
-    while (start <= text.size()) {
-        const std::size_t comma = text.find(',', start);
-        const std::size_t end = comma == std::string::npos ? text.size() : comma;
-        if (end > start) items.push_back(text.substr(start, end - start));
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-    }
+    for (std::size_t comma; (comma = text.find(',', start)) != text.npos;
+         start = comma + 1)
+        items.push_back(text.substr(start, comma - start));
+    items.push_back(text.substr(start));
     return items;
 }
-
-const char* stageToken(ValueStage stage) {
-    switch (stage) {
-        case ValueStage::kExEnd: return "ex_end";
-        case ValueStage::kMemEnd: return "mem_end";
-        case ValueStage::kCommit: return "commit";
-    }
-    return "?";
-}
-
-std::atomic<bool> gInterrupted{false};
-
-extern "C" void onSignal(int) { gInterrupted.store(true); }
 
 /// counters["<name>"] from a serialized asbr.sim_report, 0 when absent.
 std::uint64_t reportCounter(const JsonValue& report, const char* name) {
@@ -124,36 +108,37 @@ int main(int argc, char** argv) {
         const std::string arg = argv[i];
         std::string error;
         if (driver::consumeSharedOption(arg, options, error)) {
-            if (!error.empty()) driver::cliFail(argv[0], error);
-        } else if (arg.rfind("--workloads=", 0) == 0) {
+        } else if (const auto list = driver::valueArg(arg, "--workloads=")) {
             grid.workloads.clear();
-            for (const std::string& token : splitList(arg.substr(12))) {
-                const auto id = driver::benchFromToken(token);
-                if (!id)
-                    driver::cliFail(argv[0], "unknown workload '" + token +
-                                                 "' (" +
-                                                 driver::benchTokenList() + ")");
+            for (const std::string& token : splitList(*list)) {
+                const auto id = driver::workloadArg(token, error);
+                if (!id) driver::cliFail(argv[0], error);
                 grid.workloads.push_back(*id);
             }
-        } else if (arg.rfind("--predictors=", 0) == 0) {
+        } else if (const auto list = driver::valueArg(arg, "--predictors=")) {
             grid.predictors.clear();
-            for (const std::string& token : splitList(arg.substr(13))) {
-                std::string tokenError;
-                if (driver::makePredictorByToken(token, &tokenError) == nullptr)
-                    driver::cliFail(argv[0], tokenError);
+            for (const std::string& token : splitList(*list)) {
+                if (driver::makePredictorByToken(token, &error) == nullptr)
+                    driver::cliFail(argv[0], error);
                 grid.predictors.push_back(token);
             }
-        } else if (arg.rfind("--bits=", 0) == 0) {
+        } else if (const auto list = driver::valueArg(arg, "--bits=")) {
             grid.bitSizes.clear();
-            for (const std::string& token : splitList(arg.substr(7)))
-                grid.bitSizes.push_back(std::strtoull(token.c_str(), nullptr, 10));
-        } else if (arg.rfind("--stages=", 0) == 0) {
+            for (const std::string& token : splitList(*list)) {
+                const auto bits = driver::parseNumber<std::size_t>(token);
+                if (!bits)
+                    driver::cliFail(
+                        argv[0],
+                        driver::badNumber(
+                            "--bits", token,
+                            std::numeric_limits<std::size_t>::digits));
+                grid.bitSizes.push_back(*bits);
+            }
+        } else if (const auto list = driver::valueArg(arg, "--stages=")) {
             grid.stages.clear();
-            for (const std::string& token : splitList(arg.substr(9))) {
-                const auto stage = driver::stageFromToken(token);
-                if (!stage)
-                    driver::cliFail(argv[0], "unknown stage '" + token +
-                                                 "' (ex_end|mem_end|commit)");
+            for (const std::string& token : splitList(*list)) {
+                const auto stage = driver::stageArg(token, error);
+                if (!stage) driver::cliFail(argv[0], error);
                 grid.stages.push_back(*stage);
             }
         } else if (arg == "--protected") {
@@ -167,23 +152,16 @@ int main(int argc, char** argv) {
         } else if (arg == "--help" || arg == "-h") {
             usage(0);
         } else {
-            driver::cliFail(argv[0],
-                            "unknown option '" + arg + "' (try --help)");
+            error = "unknown option '" + arg + "' (try --help)";
         }
+        if (!error.empty()) driver::cliFail(argv[0], error);
     }
-    if (grid.predictors.empty() || grid.bitSizes.empty() ||
-        grid.stages.empty())
-        driver::cliFail(argv[0], "every grid axis needs at least one value");
     if (grid.staticFolds && grid.predictorAware)
         driver::cliFail(argv[0],
                         "--static-folds and --predictor-aware are exclusive");
-    if (options.resume && options.journalDir.empty())
-        driver::cliFail(argv[0], "--resume requires --journal=DIR");
+    driver::checkJournalFlags(argv[0], options, true);
     // --workload=W is shorthand for --workloads=W.
     if (options.workload.has_value()) grid.workloads = {*options.workload};
-
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGTERM, onSignal);
 
     const std::vector<SimJob> jobs = driver::expandSweep(grid, options);
     SimEngine engine(driver::engineConfigFor(options));
@@ -191,7 +169,7 @@ int main(int argc, char** argv) {
     driver::DurablePolicy policy;
     policy.journalDir = options.journalDir;
     policy.resume = options.resume;
-    policy.interrupted = &gInterrupted;
+    policy.interrupted = driver::catchInterrupts();
     const driver::DurableRunResult outcome = engine.runDurable(jobs, policy);
 
     TextTable table("asbr-sweep: " + std::to_string(jobs.size()) +
@@ -229,8 +207,8 @@ int main(int argc, char** argv) {
         table.addRow({driver::benchToken(job.workload), job.predictor,
                       job.asbr ? "yes" : "no",
                       job.asbr ? std::to_string(job.bitEntries) : "-",
-                      job.asbr ? stageToken(job.updateStage) : "-", cycles, cpi,
-                      folds, status});
+                      job.asbr ? valueStageName(job.updateStage) : "-",
+                      cycles, cpi, folds, status});
     }
     printTable(options, table);
 
@@ -288,20 +266,9 @@ int main(int argc, char** argv) {
         }
         const JsonValue doc = sweepReportJson(
             "asbr-sweep", JsonValue(std::move(optionsJson)), cells);
-        const std::string text = doc.dump(2) + "\n";
-        if (options.jsonPath == "-") {
-            std::fputs(text.c_str(), stdout);
-        } else {
-            std::ofstream out(options.jsonPath);
-            if (!out) {
-                std::fprintf(stderr, "cannot open %s for writing\n",
-                             options.jsonPath.c_str());
-                return 1;
-            }
-            out << text;
-            std::fprintf(stderr, "wrote sweep report (%zu cells) to %s\n",
-                         cells.size(), options.jsonPath.c_str());
-        }
+        driver::writeOutput(
+            options.jsonPath, doc.dump(2) + "\n",
+            "sweep report (" + std::to_string(cells.size()) + " cells)");
     }
     return outcome.countWith(driver::CellStatus::kFailed) > 0 ? 3 : 0;
   } catch (const std::exception& e) {
